@@ -24,7 +24,7 @@ from .errors import (
     SeriesOutOfRange,
     StepLimitExceeded,
 )
-from .mpfield import PrecisionCtx
+from .mpfield import PrecisionCtx, shared_ctx
 
 __all__ = ["BringSolution", "hyper4f3", "bring_root_continuation", "solve_bring"]
 
@@ -283,7 +283,7 @@ def bring_root_continuation(s, ctx: PrecisionCtx):
     if abs(s - bps_full[near]) < ctx.pow10(-(ctx.digits // 4)):
         raise NearBranchPoint(f"s within 10^-{ctx.digits // 4} of a double-root parameter")
 
-    octx = PrecisionCtx(digits=max(40, ctx.digits // 4 + 20), seed=ctx.seed)
+    octx = shared_ctx(max(40, ctx.digits // 4 + 20), seed=ctx.seed)
     st = _Stepper(octx)
     so = octx.convert(s)
     abs_s = abs(so)

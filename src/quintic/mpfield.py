@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd as _gcd
 
 from mpmath.ctx_mp import MPContext
@@ -94,12 +95,21 @@ class PrecisionCtx:
         return self._mp.mpf(10) ** k
 
     def escalated(self, factor: int) -> "PrecisionCtx":
-        """A context with digits multiplied by ``factor``, same seed."""
-        return PrecisionCtx(
-            digits=self.digits * factor,
-            guard_digits=self.guard_digits,
-            seed=self.seed,
-        )
+        """A context with digits multiplied by ``factor``, same seed (shared)."""
+        return shared_ctx(self.digits * factor, self.guard_digits, self.seed)
+
+
+@lru_cache(maxsize=32)
+def shared_ctx(digits: int, guard_digits: int = 20, seed: int = 0) -> PrecisionCtx:
+    """One PrecisionCtx per setting, shared by the solver's internal callers.
+
+    Every value computed in a context keeps that context's MPContext alive,
+    so a fresh context per escalation or per continuation would make held
+    results pin one each.  Sharing is safe because nothing changes a
+    context's precision after construction; contexts that callers build
+    with ``PrecisionCtx(...)`` stay their own.
+    """
+    return PrecisionCtx(digits=digits, guard_digits=guard_digits, seed=seed)
 
 
 def require_finite(z, ctx: PrecisionCtx):

@@ -1,16 +1,19 @@
 """Reduction of a monic quintic to Bring-Jerrard form y^5 + A*y + B.
 
-The quartic substitution x^4 + d*x^3 + c*x^2 + b*x + a + y is eliminated
-against the quintic through a 5x5 determinant, and the parameters a, b, c, d
-are solved so the y^4, y^3, y^2 coefficients of the transformed polynomial
-vanish.  Every coefficient needed along the way is extracted numerically by
-sampling the determinant at small integer nodes and interpolating with a
-degree guard, so the structural facts the elimination relies on (the y^4
-coefficient is affine in a, the y^3 coefficient is quadratic in d, its d^2
-part is quadratic in alpha, ...) are verified at runtime instead of trusted.
+The quartic substitution y = -(x^4 + d*x^3 + c*x^2 + b*x + a) maps the
+quintic's roots x_i to the roots y_i of the transformed quintic, whose
+y^4, y^3 and y^2 coefficients must vanish.  Those conditions are
+Tr Y = Tr Y^2 = Tr Y^3 = 0 (Adamchik & Jeffrey, "Polynomial transformations
+of Tschirnhaus, Bring and Jerrard", ACM SIGSAM Bull. 37(3), 2003): a linear,
+a quadratic and a cubic form in (a, b, c, d) whose coefficients are the
+power sums P_0..P_12 of the roots, taken from Newton's identities.  The
+linear condition fixes a; writing b = alpha*d + xi and c = d + eta splits
+the quadratic one into an alpha quadratic, an affine (eta, xi) line and a
+xi quadratic, and the cubic one leaves a cubic in d.
 
-Short closed forms for a and alpha are evaluated as independent cross-checks
-of the sampled solves.
+The solved substitution is then evaluated once through the paper's 5x5
+elimination determinant, which gives A, B and the residual y^4, y^3, y^2
+coefficients that certify the reduction independently of the forms.
 """
 
 from __future__ import annotations
@@ -18,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    CrossCheckError,
     DegenerateLeading,
     DegenerateTransform,
     PrecisionExhausted,
     ShiftLadderExhausted,
 )
 from .mpfield import PrecisionCtx, pow_rational, sqrt_principal
-from .polyring import Poly, PolyMatrix5, det5, fit_coeffs
+from .polyring import Poly, PolyMatrix5, det5
 
 __all__ = [
     "MonicQuintic",
@@ -199,171 +201,83 @@ def transformed_poly(quintic: MonicQuintic, a, b, c, d, ctx: PrecisionCtx) -> Po
 
 
 # ---------------------------------------------------------------------------
-# Short closed forms, used as independent cross-checks of the sampled
-# solves (never as the normative computation).
+# Trace forms.
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_a(quintic, b, c, d, ctx):
-    m, n, p, q, r = (ctx.convert(v) for v in quintic.coeffs())
-    b, c, d = (ctx.convert(v) for v in (b, c, d))
-    m2 = m * m
-    m3 = m2 * m
-    m4 = m3 * m
-    f = ctx.mpf(1) / 5
-    return (
-        f * d * m3
-        + f * b * m
-        - 3 * f * d * m * n
-        - 2 * f * n * n
-        + 4 * f * q
-        - f * c * m2
-        + 2 * f * c * n
-        - 4 * f * m * p
-        + 4 * f * m2 * n
-        + 3 * f * d * p
-        - f * m4
-    )
+def _power_sums(quintic: MonicQuintic, ctx: PrecisionCtx, top: int):
+    """Power sums P_0..P_top of the quintic's roots, by Newton's identities."""
+    coeffs = quintic.coeffs()
+    sums = [ctx.mpc(5)]
+    for k in range(1, top + 1):
+        acc = k * coeffs[k - 1] if k <= 5 else ctx.mpc(0)
+        for j in range(1, min(k - 1, 5) + 1):
+            acc += coeffs[j - 1] * sums[k - j]
+        sums.append(-acc)
+    return sums
 
 
-def _closed_form_alpha(quintic, ctx):
-    """Quadratic-formula value of alpha; valid when |2m^2 - 5n| is healthy."""
-    m, n, p, q, r = (ctx.convert(v) for v in quintic.coeffs())
-    m2 = m * m
-    m3 = m2 * m
-    m4 = m3 * m
-    m5 = m4 * m
-    n2 = n * n
-    n3 = n2 * n
-    p2 = p * p
-    rad = (
-        -40 * q * m4
-        + 80 * q * m2
-        + 40 * m3 * p
-        + 60 * n * p2
-        - 15 * n2 * m4
-        - 190 * m * p * n
-        - 200 * n * q
-        - 15 * n2 * m2
-        + 400 * q * q
-        + 60 * n3 * m2
-        - 100 * n2 * q
-        - 80 * m * p * n2
-        + 200 * m2 * r
-        + 225 * p2
-        - 120 * m3 * r
-        + 40 * m5 * p
-        + 265 * m2 * p2
-        - 40 * q * m3
-        - 80 * m4 * p
-        - 20 * q * m * n
-        + 360 * m2 * p * n
-        + 30 * n2 * m3
-        + 600 * p * q
-        - 510 * m * p2
-        - 120 * n3 * m
-        - 680 * m * p * q
-        + 260 * m2 * n * q
-        + 300 * m * n * r
-        - 500 * n * r
-        + 80 * p * n2
-        - 170 * m3 * p * n
-        + 60 * n3
-    )
-    num = (
-        -13 * n * m
-        - 10 * n2
-        + 4 * m3
-        + 20 * q
-        + 17 * m2 * n
-        - 4 * m4
-        + 15 * p
-        - 17 * m * p
-        + sqrt_principal(rad, ctx)
-    )
-    return num / (2 * (2 * m2 - 5 * n))
+class _TraceForms:
+    """Trace forms of one quintic at one precision.
 
-
-# ---------------------------------------------------------------------------
-# Sampling machinery.
-# ---------------------------------------------------------------------------
-
-
-class _Reducer:
-    """Shared sampling state for one quintic at one precision."""
+    A vector u = (u1, u2, u3, u4) stands for U(x) = u1*x + u2*x^2 + u3*x^3 +
+    u4*x^4, so the substitution is T = V + a with v = (b, c, d, 1).  Choosing
+    a = -Tr(V)/5 centres T, and the transformed polynomial then has y^3
+    coefficient -g(v, v)/2 and y^2 coefficient h(v, v, v)/3, where g and h
+    are the traces of products of centred polynomials.  Traces of products
+    are power sums P_0..P_12 of the roots, which Newton's identities give.
+    """
 
     def __init__(self, quintic: MonicQuintic, ctx: PrecisionCtx):
-        self.q = quintic.rebind(ctx)
         self.ctx = ctx
-        self.tp_calls = 0
-        self.coeff_scale = self.q.scale(ctx)
+        self.sums = _power_sums(quintic, ctx, 12)
+        self.rscale = _root_scale(quintic, ctx)
 
-    def tp(self, a, b, c, d) -> Poly:
-        self.tp_calls += 1
-        return transformed_poly(self.q, a, b, c, d, self.ctx)
-
-    def _floor(self, polys, slot):
-        """(reference scale, noise floor) for fits over coefficient ``slot``.
-
-        Coefficient k of the transformed quintic is a sum of products of
-        5 - k matrix-entry constants, so its characteristic magnitude is
-        E**(5-k) where E is the entry scale; E is recovered from the sampled
-        polynomials themselves as max |c_k|^(1/(5-k)).  Values below
-        10^(-digits/2) of that reference count as identically zero, matching
-        the vanishing thresholds used everywhere else; without the floor,
-        probe points where a quantity vanishes identically would pit noise
-        against noise in the degree guard.
-        """
-        ctx = self.ctx
-        entry_scale = ctx.mpf(1)
-        for poly in polys:
-            for k in range(5):
-                mag = abs(poly.coeff(k))
-                if mag > 1:
-                    entry_scale = max(entry_scale, ctx.mp.root(mag, 5 - k))
-        ref = entry_scale ** (5 - slot)
-        return ref, ctx.pow10(-(ctx.digits // 2)) * ref
+    def trace(self, *vectors):
+        """Tr(U_1(x) * ... * U_k(x)) summed over the quintic's roots."""
+        prod = [1]  # product coefficients, lowest power first
+        for u in vectors:
+            out = [0] * (len(prod) + 4)
+            for i, pv in enumerate(prod):
+                for j, uv in enumerate(u):
+                    out[i + j + 1] += pv * uv
+            prod = out
+        return sum(pv * s for pv, s in zip(prod, self.sums))
 
     def solve_a(self, b, c, d):
-        """The unique a killing the y^4 coefficient (affine sampling + guard)."""
-        ctx = self.ctx
-        polys = [self.tp(k, b, c, d) for k in (0, 1, 2)]
-        _, floor = self._floor(polys, 4)
-        samples = list(zip((0, 1, 2), (p.coeff(4) for p in polys)))
-        scale = max(floor, *(abs(v) for _, v in samples))
-        c0, c1 = fit_coeffs(samples, 1, ctx, scale=scale)
-        a = -c0 / c1
-        ref = _closed_form_a(self.q, b, c, d, ctx)
-        if abs(a - ref) > ctx.pow10(-ctx.digits + 15) * max(1, abs(a)):
-            raise CrossCheckError(
-                f"sampled a disagrees with its closed form: {ctx.mp.nstr(abs(a - ref), 5)}"
-            )
-        return a
+        """The a making Tr T, and with it the y^4 coefficient, vanish."""
+        return -self.trace((b, c, d, 1)) / 5
 
-    def poly_at(self, alpha, eta, xi, d) -> Poly:
-        """Transformed poly at b = alpha*d + xi, c = d + eta, a solved."""
-        ctx = self.ctx
-        alpha, eta, xi, d = (ctx.convert(v) for v in (alpha, eta, xi, d))
-        b = alpha * d + xi
-        c = d + eta
-        a = self.solve_a(b, c, d)
-        return self.tp(a, b, c, d)
+    def g(self, u, w):
+        """Tr of the product of centred U and W."""
+        return self.trace(u, w) - self.trace(u) * self.trace(w) / 5
 
-    def poly3_in_d(self, alpha, eta, xi):
-        """([d^0, d^1, d^2] of the y^3 coefficient in d, reference scale)."""
-        polys = [self.poly_at(alpha, eta, xi, k) for k in (0, 1, 2, 3)]
-        ref, floor = self._floor(polys, 3)
-        samples = list(zip((0, 1, 2, 3), (p.coeff(3) for p in polys)))
-        scale = max(floor, *(abs(v) for _, v in samples))
-        return fit_coeffs(samples, 2, self.ctx, scale=scale), ref
+    def h(self, u, w, z):
+        """Tr of the product of centred U, W and Z."""
+        tu, tw, tz = self.trace(u), self.trace(w), self.trace(z)
+        spread = tu * self.trace(w, z) + tw * self.trace(u, z) + tz * self.trace(u, w)
+        return self.trace(u, w, z) - spread / 5 + 2 * tu * tw * tz / 25
+
+    def weight(self, u):
+        """Magnitude Tr(|U|) would have if every root had the root scale.
+
+        Products of these weights bound the size of the terms that a form
+        coefficient sums, so they set the scale at which it counts as zero.
+        """
+        return sum(abs(v) * self.rscale ** (j + 1) for j, v in enumerate(u))
+
+
+_E1 = (1, 0, 0, 0)
+_E2 = (0, 1, 0, 0)
+_E4 = (0, 0, 0, 1)
 
 
 def _root_of_sampled_poly(coeffs, ctx, branch, cardano_index, what, ref=1):
-    """Deterministic root of a sampled polynomial, degrading degree gracefully.
+    """Deterministic root of a polynomial, degrading degree gracefully.
 
     ``coeffs`` is [c0, c1, ..., ck] lowest power first.  Leading coefficients
-    that vanish relative to the sampled scale (or to the reference scale of
-    the polynomials they came from) are dropped: the equation is still
+    that vanish relative to their own scale (or to the reference scale of
+    the terms they were summed from) are dropped: the equation is still
     solvable as long as anything nonzero is left in front of the constant
     term.
     """
@@ -390,55 +304,24 @@ def _root_of_sampled_poly(coeffs, ctx, branch, cardano_index, what, ref=1):
 
 def solve_a(quintic: MonicQuintic, b, c, d, ctx: PrecisionCtx):
     """a making the y^4 coefficient of the transformed polynomial vanish."""
-    return _Reducer(quintic, ctx).solve_a(ctx.convert(b), ctx.convert(c), ctx.convert(d))
+    forms = _TraceForms(quintic.rebind(ctx), ctx)
+    return forms.solve_a(*(ctx.convert(v) for v in (b, c, d)))
 
 
 def solve_alpha(quintic: MonicQuintic, ctx: PrecisionCtx):
     """Root of the quadratic that the d^2 part of the y^3 coefficient forms in alpha.
 
-    Sampled with eta = xi = 0 over a (d, alpha) grid with degree guards on
-    both directions, then cross-checked against its closed form when
-    the quadratic's leading coefficient is healthy.
+    With b = alpha*d + xi and c = d + eta, the d^2 part is -g(w1, w1)/2 for
+    w1 = (alpha, 1, 1, 0); it does not involve eta or xi.
     """
-    red = _Reducer(quintic, ctx)
-    return _solve_alpha_inner(red)
+    return _solve_alpha(_TraceForms(quintic.rebind(ctx), ctx))
 
 
-def _solve_alpha_inner(red: _Reducer):
-    ctx = red.ctx
-    samples = []
-    ref = ctx.mpf(1)
-    for anode in (0, 1, 2, 3):
-        dcoeffs, dref = red.poly3_in_d(anode, 0, 0)
-        samples.append((anode, dcoeffs[2]))
-        ref = max(ref, dref)
-    floor = ctx.pow10(-(ctx.digits // 2)) * ref
-    q0, q1, q2 = fit_coeffs(samples, 2, ctx, scale=max(floor, *(abs(v) for _, v in samples)))
-
-    scale = max(ref, abs(q0), abs(q1), abs(q2))
-    tol = ctx.pow10(-(ctx.digits // 2)) * scale
-    alpha = _root_of_sampled_poly([q0, q1, q2], ctx, -1, 0, "alpha quadratic", ref=ref)
-
-    if abs(q2) > tol:
-        m, n = red.q.m, red.q.n
-        lead = 2 * m * m - 5 * n
-        if abs(lead) > ctx.pow10(-(ctx.digits // 2)) * max(1, abs(m) ** 2, abs(n)):
-            check = _closed_form_alpha(red.q, ctx)
-            # a nearly-double alpha root is ill conditioned: coefficient
-            # noise is amplified by 1/sqrt(disc), so grant that much slack on
-            # top of the nominal relative tolerance
-            disc_mag = abs(q1 * q1 - 4 * q2 * q0)
-            noise = ctx.pow10(-ctx.digits - ctx.guard_digits + 8) * scale
-            amplified = noise * (1 + abs(alpha)) ** 2 / max(
-                ctx.mp.sqrt(disc_mag), noise, ctx.pow10(-2 * ctx.digits)
-            )
-            tol_cc = ctx.pow10(-ctx.digits + 15) * max(1, abs(alpha)) + amplified
-            if abs(alpha - check) > tol_cc:
-                raise CrossCheckError(
-                    "sampled alpha disagrees with its closed form: "
-                    f"{ctx.mp.nstr(abs(alpha - check), 5)}"
-                )
-    return alpha
+def _solve_alpha(forms: _TraceForms):
+    f = (0, 1, 1, 0)
+    coeffs = [-forms.g(f, f) / 2, -forms.g(_E1, f), -forms.g(_E1, _E1) / 2]
+    ref = forms.weight(f) ** 2
+    return _root_of_sampled_poly(coeffs, forms.ctx, -1, 0, "alpha quadratic", ref=ref)
 
 
 def solve_eta_xi(quintic: MonicQuintic, alpha, ctx: PrecisionCtx):
@@ -447,63 +330,48 @@ def solve_eta_xi(quintic: MonicQuintic, alpha, ctx: PrecisionCtx):
     The d^1 part is affine in (eta, xi); solving it for eta and substituting
     into the d^0 part leaves a quadratic in xi.
     """
-    red = _Reducer(quintic, ctx)
-    return _solve_eta_xi_inner(red, ctx.convert(alpha))
+    return _solve_eta_xi(_TraceForms(quintic.rebind(ctx), ctx), ctx.convert(alpha))
 
 
-def _solve_eta_xi_inner(red: _Reducer, alpha):
-    ctx = red.ctx
-    p1 = {}
-    ref = ctx.mpf(1)
-    for eta, xi in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        dcoeffs, dref = red.poly3_in_d(alpha, eta, xi)
-        p1[(eta, xi)] = dcoeffs[1]
-        ref = max(ref, dref)
-    u0 = p1[(0, 0)]
-    u_eta = p1[(1, 0)] - u0
-    u_xi = p1[(0, 1)] - u0
-    floor = ctx.pow10(-(ctx.digits // 2)) * ref
-    scale = max(floor, abs(u0), abs(u_eta), abs(u_xi))
-    predicted = u0 + u_eta + u_xi
-    if abs(p1[(1, 1)] - predicted) > ctx.pow10(-(ctx.digits // 2)) * scale:
-        from .errors import DegreeGuardFailure
-
-        raise DegreeGuardFailure("d^1 part of the y^3 coefficient is not affine in (eta, xi)")
-
-    if abs(u_eta) > floor:
-        def pair_of(t):  # eta eliminated; t is xi
-            return -(u0 + u_xi * t) / u_eta, t
-    elif abs(u_xi) > floor:
-        def pair_of(t):  # xi eliminated instead; t is eta
-            return t, -(u0 + u_eta * t) / u_xi
-    elif abs(u0) <= floor:
-        def pair_of(t):  # d^1 part already vanishes identically; pin eta = 0
-            return ctx.mpc(0), t
+def _solve_eta_xi(forms: _TraceForms, alpha):
+    ctx = forms.ctx
+    w1 = (alpha, 1, 1, 0)
+    # d^1 part -g(w0, w1) with w0 = (xi, eta, 0, 1): u0 + u_eta*eta + u_xi*xi
+    u0, u_eta, u_xi = (-forms.g(e, w1) for e in (_E4, _E2, _E1))
+    floor = ctx.pow10(-(ctx.digits // 2)) * forms.weight(w1) * forms.weight(_E4)
+    # the solution line (eta, xi) = origin + t*step
+    if abs(u_eta) > floor:  # eta eliminated; t is xi
+        origin, step = (-u0 / u_eta, 0), (-u_xi / u_eta, 1)
+    elif abs(u_xi) > floor:  # xi eliminated instead; t is eta
+        origin, step = (0, -u0 / u_xi), (1, -u_eta / u_xi)
+    elif abs(u0) <= floor:  # d^1 part already vanishes identically; pin eta = 0
+        origin, step = (0, 0), (0, 1)
     else:
         raise DegenerateLeading("d^1 part of the y^3 coefficient is a nonzero constant")
 
-    # d^0 part of the y^3 coefficient equals its value at d = 0.
-    polys = [red.poly_at(alpha, *pair_of(ctx.mpc(tn)), 0) for tn in (0, 1, 2, 3)]
-    sref, sfloor = red._floor(polys, 3)
-    samples = list(zip((0, 1, 2, 3), (p.coeff(3) for p in polys)))
-    s0, s1, s2 = fit_coeffs(samples, 2, ctx, scale=max(sfloor, *(abs(v) for _, v in samples)))
-    t_best = _root_of_sampled_poly([s0, s1, s2], ctx, _XI_BRANCH, 0, "xi quadratic", ref=sref)
-    return pair_of(t_best)
+    # d^0 part -g(w0, w0)/2 along the line, a quadratic in t
+    z0 = (origin[1], origin[0], 0, 1)
+    z1 = (step[1], step[0], 0, 0)
+    coeffs = [-forms.g(z0, z0) / 2, -forms.g(z0, z1), -forms.g(z1, z1) / 2]
+    ref = max(forms.weight(z0), forms.weight(z1)) ** 2
+    t = _root_of_sampled_poly(coeffs, ctx, _XI_BRANCH, 0, "xi quadratic", ref=ref)
+    return origin[0] + t * step[0], origin[1] + t * step[1]
 
 
 def solve_d(quintic: MonicQuintic, alpha, eta, xi, ctx: PrecisionCtx):
     """Root of the cubic that the y^2 coefficient forms in d."""
-    red = _Reducer(quintic, ctx)
-    return _solve_d_inner(red, *(ctx.convert(v) for v in (alpha, eta, xi)))
+    forms = _TraceForms(quintic.rebind(ctx), ctx)
+    return _solve_d(forms, *(ctx.convert(v) for v in (alpha, eta, xi)))
 
 
-def _solve_d_inner(red: _Reducer, alpha, eta, xi):
-    ctx = red.ctx
-    polys = [red.poly_at(alpha, eta, xi, k) for k in (0, 1, 2, 3, 4)]
-    ref, floor = red._floor(polys, 2)
-    samples = list(zip((0, 1, 2, 3, 4), (p.coeff(2) for p in polys)))
-    t0, t1, t2, t3 = fit_coeffs(samples, 3, ctx, scale=max(floor, *(abs(v) for _, v in samples)))
-    return _root_of_sampled_poly([t0, t1, t2, t3], ctx, -1, _D_INDEX, "d cubic", ref=ref)
+def _solve_d(forms: _TraceForms, alpha, eta, xi):
+    # h(w0 + d*w1, ...)/3 expanded in d
+    w0 = (xi, eta, 0, 1)
+    w1 = (alpha, 1, 1, 0)
+    h = forms.h
+    coeffs = [h(w0, w0, w0) / 3, h(w0, w0, w1), h(w0, w1, w1), h(w1, w1, w1) / 3]
+    ref = max(forms.weight(w0), forms.weight(w1)) ** 3
+    return _root_of_sampled_poly(coeffs, forms.ctx, -1, _D_INDEX, "d cubic", ref=ref)
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +398,20 @@ def _root_scale(quintic: MonicQuintic, ctx: PrecisionCtx):
     )
 
 
-def _attempt(red: _Reducer):
-    """One full parameter solve at fixed precision on an already-shifted quintic."""
-    ctx = red.ctx
-    alpha = _solve_alpha_inner(red)
-    eta, xi = _solve_eta_xi_inner(red, alpha)
-    d = _solve_d_inner(red, alpha, eta, xi)
+def _attempt(quintic: MonicQuintic, ctx: PrecisionCtx):
+    """One full parameter solve at fixed precision on an already-shifted quintic.
+
+    The forms give the parameters; one determinant evaluation at the solved
+    substitution then gives A, B and the vanishing residuals that certify it.
+    """
+    forms = _TraceForms(quintic, ctx)
+    alpha = _solve_alpha(forms)
+    eta, xi = _solve_eta_xi(forms, alpha)
+    d = _solve_d(forms, alpha, eta, xi)
     b = alpha * d + xi
     c = d + eta
-    a = red.solve_a(b, c, d)
-    poly = red.tp(a, b, c, d)
+    a = forms.solve_a(b, c, d)
+    poly = transformed_poly(quintic, a, b, c, d, ctx)
     A = poly.coeff(1)
     B = poly.coeff(0)
     norm = max(ctx.mpf(1), abs(A), abs(B))
@@ -590,9 +462,8 @@ def reduce_to_bring(quintic: MonicQuintic, ctx: PrecisionCtx) -> BringReduction:
         for t_re, t_im in [(0, 0)] + _SHIFT_LADDER:
             t = wctx.mpc(t_re, t_im)
             shifted = base.rebind(wctx) if t == 0 else base.rebind(wctx).shifted(t, wctx)
-            red = _Reducer(shifted, wctx)
             try:
-                params, A, B = _attempt(red)
+                params, A, B = _attempt(shifted, wctx)
             except DegenerateLeading as exc:
                 last_exc = exc
                 continue
@@ -603,7 +474,7 @@ def reduce_to_bring(quintic: MonicQuintic, ctx: PrecisionCtx) -> BringReduction:
                     f"at digits={wctx.digits}"
                 )
                 break  # escalate precision rather than walk the ladder
-            return _finish_reduction(params, A, B, t, red, wctx)
+            return _finish_reduction(params, A, B, t, wctx)
         else:
             if isinstance(last_exc, DegenerateLeading):
                 raise ShiftLadderExhausted(
@@ -614,7 +485,7 @@ def reduce_to_bring(quintic: MonicQuintic, ctx: PrecisionCtx) -> BringReduction:
     raise PrecisionExhausted(f"reduction failed after escalation: {last_exc}")
 
 
-def _finish_reduction(params, A, B, shift, red: _Reducer, ctx: PrecisionCtx) -> BringReduction:
+def _finish_reduction(params, A, B, shift, ctx: PrecisionCtx) -> BringReduction:
     mp = ctx.mp
     tol = ctx.pow10(-(ctx.digits // 2))
     pure = None

@@ -213,12 +213,12 @@ def test_c8_degree_guards():
     worst = ctx.mpf(0)
     for _ in range(200):
         quintic = _random_quintic(rng, ctx, magnitude=100.0)
-        red = reduce_to_bring(quintic, ctx)  # raises DegreeGuardFailure on any guard miss
+        red = reduce_to_bring(quintic, ctx)  # raises a QuinticError on any degenerate solve
         if red.params is not None:
             worst = max(worst, max(red.params.vanish_residuals))
     assert worst <= ctx.pow10(-25)
     print(
-        "\nACCEPTANCE C8 PASS: every interpolation guard node passed on 200 "
+        "\nACCEPTANCE C8 PASS: the determinant certifies every one of 200 "
         f"random reductions (worst vanish residual {ctx.mp.nstr(worst, 3)})"
     )
 

@@ -23,6 +23,17 @@ def test_ctx_invariants():
     assert ctx.working_dps == 70
 
 
+
+def test_escalated_contexts_are_shared():
+    # a returned value pins the context it was computed in, so escalation
+    # must not build a fresh context per call
+    ctx = PrecisionCtx(digits=50, guard_digits=12, seed=7)
+    up = ctx.escalated(2)
+    assert up is PrecisionCtx(digits=50, guard_digits=12, seed=7).escalated(2)
+    assert (up.digits, up.guard_digits, up.seed) == (100, 12, 7)
+    assert up.mp.dps == 112
+    assert PrecisionCtx(digits=100) is not PrecisionCtx(digits=100)
+
 def test_sqrt_trivial_examples(ctx50):
     assert sqrt_principal(ctx50.mpc(4), ctx50) == 2
     assert sqrt_principal(ctx50.mpc(-1), ctx50) == ctx50.mpc(0, 1)

@@ -2,12 +2,16 @@ import random
 
 import pytest
 
-from quintic.errors import DegenerateLeading
+import quintic.tschirnhaus as tschirnhaus
+from quintic.errors import DegenerateLeading, QuinticError
 from quintic.mpfield import PrecisionCtx, parse_complex
 from quintic.oracle import aberth_solve, match_rootsets
 from quintic.polyring import Poly, eval_poly, fit_coeffs
 from quintic.tschirnhaus import (
+    _D_INDEX,
+    _XI_BRANCH,
     MonicQuintic,
+    _root_of_sampled_poly,
     build_matrix,
     reduce_to_bring,
     solve_a,
@@ -16,7 +20,7 @@ from quintic.tschirnhaus import (
     solve_eta_xi,
     transformed_poly,
 )
-from quintic.closedform import cardano_roots
+from quintic.closedform import cardano_roots, solve_quintic
 
 from golden import GOLDEN_COEFFS, GOLDEN_S
 
@@ -332,3 +336,118 @@ def test_m_zero_case_reduces_and_checks_out(ctx50):
     q = MonicQuintic.make(ctx50, 0, 1340, "12.3491", "-239.182", "339.21817")
     red = reduce_to_bring(q, ctx50)
     assert max(red.params.vanish_residuals) <= ctx50.pow10(-25)
+
+
+def test_one_det5_per_successful_attempt(monkeypatch, ctx50, ctx200, rng):
+    calls = []
+    original = tschirnhaus.det5
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tschirnhaus, "det5", counted)
+    cases = [(MonicQuintic.make(ctx200, *GOLDEN_COEFFS), ctx200)]
+    cases += [(random_quintic(rng, ctx50), ctx50) for _ in range(5)]
+    for q, ctx in cases:
+        calls.clear()
+        red = reduce_to_bring(q, ctx)
+        assert red.params is not None
+        assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# sampled reference: the determinant sampled at integer nodes and
+# interpolated with degree guards, independent of the trace forms
+# ---------------------------------------------------------------------------
+
+
+def _scale(polys):
+    return max([1] + [p.max_coeff_mag() for p in polys])
+
+
+def _fit(values, degree, ref, ctx):
+    """Guarded fit over nodes 0, 1, ...; below 10^(-digits/2) of ``ref`` counts as zero."""
+    scale = max(ctx.pow10(-(ctx.digits // 2)) * ref, *(abs(v) for v in values))
+    return fit_coeffs(list(enumerate(values)), degree, ctx, scale=scale)
+
+
+def _sampled_poly(q, alpha, eta, xi, d, ctx):
+    """Transformed poly at b = alpha*d + xi, c = d + eta, a fitted to kill y^4."""
+    b = alpha * d + xi
+    c = d + eta
+    polys = [transformed_poly(q, k, b, c, d, ctx) for k in range(3)]
+    c0, c1 = _fit([p.coeff(4) for p in polys], 1, _scale(polys), ctx)
+    return transformed_poly(q, -c0 / c1, b, c, d, ctx)
+
+
+def _sampled_in_d(q, alpha, eta, xi, slot, degree, ctx):
+    """Coefficients in d of the transformed poly's y^slot coefficient, and the polys sampled."""
+    polys = [_sampled_poly(q, alpha, eta, xi, ctx.mpc(k), ctx) for k in range(degree + 2)]
+    return _fit([p.coeff(slot) for p in polys], degree, _scale(polys), ctx), polys
+
+
+def _sampled_params(q, ctx):
+    """(alpha, eta, xi, d) from sampled polynomials, roots picked as the pipeline picks them."""
+    zero = ctx.mpc(0)
+    ref = ctx.mpf(1)
+
+    def in_d(alpha, eta, xi, slot, degree):
+        nonlocal ref
+        coeffs, polys = _sampled_in_d(q, alpha, eta, xi, slot, degree, ctx)
+        ref = max(ref, _scale(polys))
+        return coeffs
+
+    d2 = [in_d(ctx.mpc(k), zero, zero, 3, 2)[2] for k in range(4)]
+    alpha = _root_of_sampled_poly(_fit(d2, 2, ref, ctx), ctx, -1, 0, "alpha", ref=ref)
+
+    u0, u_eta, u_xi, u11 = (
+        in_d(alpha, ctx.mpc(eta), ctx.mpc(xi), 3, 2)[1] for eta, xi in ((0, 0), (1, 0), (0, 1), (1, 1))
+    )
+    u_eta, u_xi = u_eta - u0, u_xi - u0
+    assert abs(u11 - (u0 + u_eta + u_xi)) <= ctx.pow10(-(ctx.digits // 2)) * ref
+    if abs(u_eta) > ctx.pow10(-(ctx.digits // 2)) * ref:
+        def pair(t):
+            return -(u0 + u_xi * t) / u_eta, t
+    else:
+        def pair(t):
+            return t, -(u0 + u_eta * t) / u_xi
+
+    polys = [_sampled_poly(q, alpha, *pair(ctx.mpc(k)), zero, ctx) for k in range(4)]
+    ref = max(ref, _scale(polys))
+    s = _fit([p.coeff(3) for p in polys], 2, ref, ctx)
+    eta, xi = pair(_root_of_sampled_poly(s, ctx, _XI_BRANCH, 0, "xi", ref=ref))
+
+    t = in_d(alpha, eta, xi, 2, 3)
+    d = _root_of_sampled_poly(t, ctx, -1, _D_INDEX, "d", ref=ref)
+    return alpha, eta, xi, d
+
+
+def test_forms_match_sampled_reference(ctx100):
+    ctx = ctx100
+    rng = random.Random(2718)
+    cases = [random_quintic(rng, ctx) for _ in range(10)]
+    cases.append(MonicQuintic.make(ctx, 0, 1340, "12.3491", "-239.182", "339.21817"))  # m = 0
+    cases.append(MonicQuintic.make(ctx, 0, 0, 3, -2, 7))  # m = n = 0
+    cases.append(MonicQuintic.make(ctx, 5, 10, 3, -2, 7))  # 2 m^2 = 5 n
+    tol = ctx.pow10(-80)
+    for q in cases:
+        red = reduce_to_bring(q, ctx)
+        shifted = q if red.shift == 0 else q.shifted(red.shift, ctx)
+        p = red.params
+        for got, want in zip((p.alpha, p.eta, p.xi, p.d), _sampled_params(shifted, ctx)):
+            assert abs(got - want) <= tol * max(1, abs(want))
+
+
+def test_huge_roots_typed_failure_or_correct():
+    # roots 1e30*k + 3e29 i: the sampled reduction that preceded the trace
+    # forms raised an untyped ZeroDivisionError here, fitting a
+    ctx = PrecisionCtx(digits=50)
+    roots = [ctx.mpc(k * 10**30, 3 * 10**29) for k in range(1, 6)]
+    coeffs = Poly.from_roots(roots, ctx).coeffs
+    q = MonicQuintic(coeffs[4], coeffs[3], coeffs[2], coeffs[1], coeffs[0])
+    try:
+        report = solve_quintic(q, ctx)
+    except QuinticError:
+        return
+    assert match_rootsets(report.roots, roots).max_distance <= ctx.pow10(-25) * 10**30
