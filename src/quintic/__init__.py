@@ -5,71 +5,25 @@ Tschirnhaus substitution, solves the reduced equation z^5 - z - s = 0 with a
 generalized hypergeometric series (analytically continued where the series
 diverges), and unwinds through Ferrari's quartic method.  An independent
 Aberth-Ehrlich root finder cross-validates every answer.
+
+Only the entry points are re-exported here; everything else is imported
+from its own module (``quintic.tschirnhaus``, ``quintic.bring``, ...).
 """
 
-from .mpfield import PrecisionCtx, format_complex, parse_complex, pow_rational, sqrt_principal
-from .polyring import Poly, PolyMatrix5, det5, deflate, eval_poly, fit_coeffs
-from .tschirnhaus import (
-    BringReduction,
-    MonicQuintic,
-    TschirnhausParams,
-    build_matrix,
-    reduce_to_bring,
-    solve_a,
-    solve_alpha,
-    solve_d,
-    solve_eta_xi,
-    transformed_poly,
-)
-from .bring import BringSolution, bring_root_continuation, hyper4f3, solve_bring
-from .closedform import (
-    QuarticCoeffs,
-    RootReport,
-    cardano_roots,
-    deflate_quintic,
-    ferrari_roots,
-    select_quintic_root,
-    solve_quintic,
-)
-from .oracle import RootMatch, aberth_solve, match_rootsets
+from .mpfield import PrecisionCtx
+from .tschirnhaus import MonicQuintic
+from .bring import solve_bring
+from .closedform import solve_quintic
+from .oracle import aberth_solve, match_rootsets
 from . import errors
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrecisionCtx",
-    "parse_complex",
-    "format_complex",
-    "sqrt_principal",
-    "pow_rational",
-    "Poly",
-    "PolyMatrix5",
-    "eval_poly",
-    "det5",
-    "fit_coeffs",
-    "deflate",
     "MonicQuintic",
-    "TschirnhausParams",
-    "BringReduction",
-    "build_matrix",
-    "transformed_poly",
-    "solve_a",
-    "solve_alpha",
-    "solve_eta_xi",
-    "solve_d",
-    "reduce_to_bring",
-    "BringSolution",
-    "hyper4f3",
-    "bring_root_continuation",
-    "solve_bring",
-    "QuarticCoeffs",
-    "RootReport",
-    "cardano_roots",
-    "ferrari_roots",
-    "select_quintic_root",
-    "deflate_quintic",
+    "PrecisionCtx",
     "solve_quintic",
-    "RootMatch",
+    "solve_bring",
     "aberth_solve",
     "match_rootsets",
     "errors",

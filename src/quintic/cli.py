@@ -54,10 +54,23 @@ def _fmt(z, digits):
     return format_complex(z, digits)
 
 
+def _out_digits(digits: int) -> int:
+    return max(10, digits - 15)
+
+
+def _root_entries(roots, residuals, digits: int) -> dict:
+    """The "roots" and "residuals" keys shared by every solve payload."""
+    out_digits = _out_digits(digits)
+    return {
+        "roots": [{"re": _fmt(x.real, out_digits), "im": _fmt(x.imag, out_digits)} for x in roots],
+        "residuals": [_fmt(v, 10) for v in residuals],
+    }
+
+
 def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int, seed: int) -> dict:
     """JSON-ready dict; every numeric value is a decimal-string literal."""
     ctx = report.reduction.ctx
-    out_digits = max(10, digits - 15)
+    out_digits = _out_digits(digits)
     params = report.reduction.params
     diag = {
         "alpha": _fmt(params.alpha, out_digits) if params else None,
@@ -73,11 +86,7 @@ def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int, seed:
         "candidate_residuals": [_fmt(v, 10) for v in report.candidate_residuals],
     }
     return {
-        "roots": [
-            {"re": _fmt(x.real, out_digits), "im": _fmt(x.imag, out_digits)}
-            for x in report.roots
-        ],
-        "residuals": [_fmt(v, 10) for v in report.residuals],
+        **_root_entries(report.roots, report.residuals, digits),
         "diagnostics": diag,
         "input": {
             "m": _fmt(quintic.m, out_digits),
@@ -92,13 +101,18 @@ def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int, seed:
 
 
 def _render_text(payload: dict) -> str:
-    lines = ["quintic roots (truncated to reported precision):"]
+    d = payload["diagnostics"]
+    fallback = "closed_form_error" in d
+    source = "oracle fallback" if fallback else "truncated to reported precision"
+    lines = [f"quintic roots ({source}):"]
     for k, root in enumerate(payload["roots"], start=1):
         im = root["im"]
         sign = "-" if im.startswith("-") else "+"
         lines.append(f"  r{k} = {root['re']} {sign} {im.lstrip('-')}i")
     lines.append("residual magnitudes: " + ", ".join(payload["residuals"]))
-    d = payload["diagnostics"]
+    if fallback:
+        lines.append("closed form failed: " + d["closed_form_error"])
+        return "\n".join(lines)
     lines.append(f"strategy: {d['strategy']}   precision used: {d['precision_used']} digits")
     if d["s"] is not None:
         lines.append(f"bring parameter s = {d['s']}")
@@ -120,34 +134,19 @@ def cmd_solve(args) -> int:
     try:
         report = solve_quintic(quintic, ctx, strategy=args.strategy)
     except QuinticError as exc:
-        if args.fallback == "oracle":
-            roots = aberth_solve(quintic.as_poly(ctx), ctx)
-            payload = {
-                "roots": [
-                    {"re": _fmt(x.real, digits - 15), "im": _fmt(x.imag, digits - 15)}
-                    for x in roots
-                ],
-                "residuals": [
-                    _fmt(abs(quintic.eval(x, ctx)), 10) for x in roots
-                ],
-                "diagnostics": {"strategy": "oracle_fallback", "closed_form_error": str(exc)},
-                "input": {"digits": digits, "seed": args.seed},
-            }
-            print(json.dumps(payload, indent=2) if args.json else _render_text_fallback(payload))
-            return 0
-        print(f"error: solver failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    payload = report_to_json(report, quintic, digits, args.seed)
+        if args.fallback != "oracle":
+            print(f"error: solver failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        roots = aberth_solve(quintic.as_poly(ctx), ctx)
+        payload = {
+            **_root_entries(roots, [abs(quintic.eval(x, ctx)) for x in roots], digits),
+            "diagnostics": {"strategy": "oracle_fallback", "closed_form_error": str(exc)},
+            "input": {"digits": digits, "seed": args.seed},
+        }
+    else:
+        payload = report_to_json(report, quintic, digits, args.seed)
     print(json.dumps(payload, indent=2) if args.json else _render_text(payload))
     return 0
-
-
-def _render_text_fallback(payload: dict) -> str:
-    lines = ["quintic roots (oracle fallback):"]
-    for k, root in enumerate(payload["roots"], start=1):
-        lines.append(f"  r{k} = {root['re']} + {root['im']}i")
-    lines.append("closed form failed: " + payload["diagnostics"]["closed_form_error"])
-    return "\n".join(lines)
 
 
 def cmd_verify(args) -> int:

@@ -219,10 +219,6 @@ def deflate_quintic(quintic: MonicQuintic, r1, ctx: PrecisionCtx) -> QuarticCoef
     return QuarticCoeffs(p3=dd, p2=cc, p1=bb, p0=aa)
 
 
-class _VerificationFailure(Exception):
-    pass
-
-
 def _fifth_roots(value, ctx):
     mp = ctx.mp
     principal = pow_rational(value, 1, 5, ctx)
@@ -238,82 +234,70 @@ def _verify(quintic: MonicQuintic, roots, ctx, digits):
     scale = quintic.scale(ctx)
     tol = ctx.pow10(-(digits // 2)) * scale
     if max(residuals) > tol:
-        raise _VerificationFailure(f"root residuals exceed tolerance {ctx.mp.nstr(tol, 3)}")
+        raise PrecisionExhausted(f"root residuals exceed tolerance {ctx.mp.nstr(tol, 3)}")
     total = sum(roots, ctx.mpc(0))
     prod = ctx.mpc(1)
     for x in roots:
         prod = prod * x
     if abs(total + quintic.m) > tol or abs(prod + quintic.r) > tol:
-        raise _VerificationFailure("Vieta identities violated")
+        raise PrecisionExhausted("Vieta identities violated")
     return residuals
 
 
-def _solve_once(quintic: MonicQuintic, wctx: PrecisionCtx, base_digits: int, strategy: str) -> RootReport:
-    stage = ["reduce"]
+def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int, strategy: str) -> RootReport:
+    """One pass of the pipeline at ``ctx``.
+
+    Failures that a higher precision may cure propagate bare; any other
+    QuinticError is wrapped with the stage it occurred in.
+    """
+    stage = "reduce"
     try:
-        return _solve_stages(quintic, wctx, base_digits, strategy, stage)
-    except (_VerificationFailure, AmbiguousSelection, NearBranchPoint, PrecisionExhausted):
+        reduction = reduce_to_bring(quintic, ctx)
+        base = quintic.rebind(ctx)
+        zero = ctx.mpf(0)
+        if reduction.pure_radical is None:
+            stage = "bring"
+            bring_sol = solve_bring(reduction.s, ctx, strategy)
+        else:
+            stage = "radical"
+            bring_sol = BringSolution(
+                z=ctx.mpc(0), strategy=bring_mod.PURE_RADICAL, residual=zero, terms_or_steps=0
+            )
+
+        if reduction.pure_radical == "quintic":
+            roots = tuple(x - reduction.shift for x in _fifth_roots(-reduction.B, ctx))
+            cand_res = (zero, zero, zero, zero)
+        else:
+            if reduction.pure_radical == "bring_A":
+                y = pow_rational(-reduction.B, 1, 5, ctx)
+            elif reduction.pure_radical == "bring_B":
+                y = ctx.mpc(0)
+            else:
+                y = reduction.quartic_root_scale * bring_sol.z
+            params = reduction.params
+            shifted_q = base if reduction.shift == 0 else base.shifted(reduction.shift, ctx)
+            stage = "ferrari"
+            tsh_quartic = QuarticCoeffs(p3=params.d, p2=params.c, p1=params.b, p0=params.a + y)
+            candidates = ferrari_roots(tsh_quartic, ctx)
+            stage = "select"
+            r1, _, cand_res = select_quintic_root(shifted_q, candidates, ctx)
+            stage = "deflate"
+            rest = ferrari_roots(deflate_quintic(shifted_q, r1, ctx), ctx)
+            roots = tuple(x - reduction.shift for x in [r1, *rest])
+
+        stage = "verify"
+        residuals = _verify(base, roots, ctx, base_digits)
+    except (PrecisionExhausted, AmbiguousSelection, NearBranchPoint):
         raise
     except QuinticError as exc:
-        raise StageError(stage[0], exc) from exc
-
-
-def _solve_stages(quintic, wctx, base_digits, strategy, stage_holder):
-    def stage(name):
-        stage_holder[0] = name
-
-    reduction = reduce_to_bring(quintic, wctx)
-    rctx = reduction.ctx
-    base = quintic.rebind(rctx)
-    zero = rctx.mpf(0)
-
-    if reduction.pure_radical == "quintic":
-        stage("radical")
-        shifted_roots = _fifth_roots(-reduction.B, rctx)
-        roots = tuple(x - reduction.shift for x in shifted_roots)
-        bring_sol = BringSolution(
-            z=rctx.mpc(0), strategy=bring_mod.PURE_RADICAL, residual=zero, terms_or_steps=0
-        )
-        cand_res = (zero, zero, zero, zero)
-    else:
-        params = reduction.params
-        shifted_q = base if reduction.shift == 0 else base.shifted(reduction.shift, rctx)
-        if reduction.pure_radical == "bring_A":
-            stage("radical")
-            y = pow_rational(-reduction.B, 1, 5, rctx)
-            bring_sol = BringSolution(
-                z=rctx.mpc(0), strategy=bring_mod.PURE_RADICAL, residual=zero, terms_or_steps=0
-            )
-        elif reduction.pure_radical == "bring_B":
-            stage("radical")
-            y = rctx.mpc(0)
-            bring_sol = BringSolution(
-                z=rctx.mpc(0), strategy=bring_mod.PURE_RADICAL, residual=zero, terms_or_steps=0
-            )
-        else:
-            stage("bring")
-            bring_sol = solve_bring(reduction.s, rctx, strategy)
-            y = reduction.quartic_root_scale * bring_sol.z
-
-        stage("ferrari")
-        tsh_quartic = QuarticCoeffs(p3=params.d, p2=params.c, p1=params.b, p0=params.a + y)
-        candidates = ferrari_roots(tsh_quartic, rctx)
-        stage("select")
-        r1, _, cand_res_list = select_quintic_root(shifted_q, candidates, rctx)
-        cand_res = tuple(cand_res_list)
-        stage("deflate")
-        rest = ferrari_roots(deflate_quintic(shifted_q, r1, rctx), rctx)
-        roots = tuple(x - reduction.shift for x in [r1, *rest])
-
-    stage("verify")
-    residuals = _verify(base, roots, rctx, base_digits)
+        raise StageError(stage, exc) from exc
     return RootReport(
         roots=roots,
         residuals=residuals,
         bring=bring_sol,
         reduction=reduction,
-        candidate_residuals=cand_res,
-        precision_used=rctx.digits,
+        candidate_residuals=tuple(cand_res),
+        precision_used=ctx.digits,
         shift_applied=reduction.shift,
     )
 
@@ -323,17 +307,19 @@ def solve_quintic(quintic: MonicQuintic, ctx: PrecisionCtx, strategy: str = "aut
 
     Orchestrates reduction -> Bring root -> Ferrari -> selection ->
     deflation -> Ferrari, un-shifts if the reduction pre-shifted, and checks
-    residuals and Vieta identities before returning.  Verification or
-    selection trouble retries at 2x then 4x precision; structural failures
-    propagate wrapped with their pipeline stage.
+    residuals and Vieta identities before returning.  This is the solver's
+    only precision ladder: a failed vanishing or verification check, an
+    ambiguous selection or a Bring parameter on a branch point retries the
+    whole solve at 2x then 4x precision; structural failures propagate
+    wrapped with their pipeline stage.
     """
     last = None
     for factor in (1, 2, 4):
         wctx = ctx if factor == 1 else ctx.escalated(factor)
         try:
-            return _solve_once(quintic, wctx, ctx.digits, strategy)
-        except (_VerificationFailure, AmbiguousSelection, NearBranchPoint) as exc:
+            return _solve_at(quintic, wctx, ctx.digits, strategy)
+        except (PrecisionExhausted, AmbiguousSelection, NearBranchPoint) as exc:
             last = exc
-    if isinstance(last, (AmbiguousSelection, NearBranchPoint)):
-        raise StageError("select", last)
-    raise PrecisionExhausted(f"verification still failing at 4x precision: {last}")
+    if isinstance(last, PrecisionExhausted):
+        raise PrecisionExhausted(f"still failing at 4x precision: {last}") from last
+    raise StageError("select", last)

@@ -27,10 +27,10 @@ class OverflowEscape(QuinticError):
 
 
 class DegreeGuardFailure(QuinticError):
-    """A sampled quantity failed its interpolation degree guard.
+    """Sampled values failed the degree guard of ``polyring.fit_coeffs``.
 
-    Signals that the quantity is not the polynomial the elimination assumes
-    it is: either a pipeline logic error or catastrophic cancellation.
+    The sampled function is not a polynomial of the claimed degree, or
+    cancellation swamped its values.
     """
 
 
@@ -52,10 +52,6 @@ class DegenerateCubic(QuinticError):
 
 class CancellationFailure(QuinticError):
     """Both square-root sign choices underflowed the Cardano cube root."""
-
-
-class CardanoBranchFailure(QuinticError):
-    """No Cardano branch produced a usable root."""
 
 
 class ResolventFailure(QuinticError):
@@ -99,11 +95,15 @@ class ShiftLadderExhausted(QuinticError):
 
 
 class PrecisionExhausted(QuinticError):
-    """Verification still failed after the precision escalation ladder."""
+    """A vanishing or verification check failed at the working precision.
+
+    ``solve_quintic`` retries on it at 2x and 4x precision and raises it
+    again once the 4x attempt fails too.
+    """
 
 
 class CrossCheckError(QuinticError):
-    """An independent formula disagreed with the sampled computation."""
+    """Two independent computations of the same quantity disagreed."""
 
 
 class StageError(QuinticError):

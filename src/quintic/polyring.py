@@ -1,8 +1,9 @@
 """Dense univariate polynomial arithmetic over AppComplex.
 
 Provides Horner evaluation, 5x5 determinants of matrices whose entries are
-degree<=1 polynomials (the elimination matrix), degree-guarded interpolation
-for coefficient extraction, and synthetic-division deflation.
+degree<=1 polynomials (the elimination matrix), synthetic-division deflation,
+and degree-guarded interpolation, which the tests use to rebuild the
+reduction's forms from sampled determinants as an independent reference.
 """
 
 from __future__ import annotations

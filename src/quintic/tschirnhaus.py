@@ -136,7 +136,6 @@ class BringReduction:
     shift: object
     params: TschirnhausParams | None
     pure_radical: str | None
-    precision_used: int
     ctx: PrecisionCtx
 
 
@@ -425,19 +424,20 @@ def _attempt(quintic: MonicQuintic, ctx: PrecisionCtx):
 
 
 def reduce_to_bring(quintic: MonicQuintic, ctx: PrecisionCtx) -> BringReduction:
-    """Full reduction to y^5 + A*y + B = 0 with s = -B/(-A)^(5/4).
+    """Full reduction to y^5 + A*y + B = 0 with s = -B/(-A)^(5/4), at ``ctx``.
 
-    Degenerate eliminations trigger a deterministic pre-shift ladder; failed
-    vanishing checks trigger precision escalation (x2 then x4).  Shifted pure
-    fifth powers, for which no quartic substitution can work, exit early as
-    pure-radical reductions, as do reductions with A ~ 0 or B ~ 0.
+    Degenerate eliminations trigger a deterministic pre-shift ladder; a failed
+    vanishing check raises PrecisionExhausted at this precision, leaving any
+    retry at higher precision to the caller.  Shifted pure fifth powers, for
+    which no quartic substitution can work, exit early as pure-radical
+    reductions, as do reductions with A ~ 0 or B ~ 0.
     """
-    base = quintic
+    base = quintic.rebind(ctx)
 
     # a shifted pure power never admits the elimination: 2m^2-5n is shift
     # invariant and the alpha equation becomes 0 = nonzero
-    dep, tdep = _depressed(base.rebind(ctx), ctx)
-    rscale = _root_scale(base.rebind(ctx), ctx)
+    dep, tdep = _depressed(base, ctx)
+    rscale = _root_scale(base, ctx)
     dtol = ctx.pow10(-ctx.digits + 10)
     if (
         abs(dep.n) <= dtol * rscale**2
@@ -452,37 +452,25 @@ def reduce_to_bring(quintic: MonicQuintic, ctx: PrecisionCtx) -> BringReduction:
             shift=tdep,
             params=None,
             pure_radical="quintic",
-            precision_used=ctx.digits,
             ctx=ctx,
         )
 
     last_exc = None
-    for factor in (1, 2, 4):
-        wctx = ctx if factor == 1 else ctx.escalated(factor)
-        for t_re, t_im in [(0, 0)] + _SHIFT_LADDER:
-            t = wctx.mpc(t_re, t_im)
-            shifted = base.rebind(wctx) if t == 0 else base.rebind(wctx).shifted(t, wctx)
-            try:
-                params, A, B = _attempt(shifted, wctx)
-            except DegenerateLeading as exc:
-                last_exc = exc
-                continue
-            tol = wctx.pow10(-(wctx.digits // 2))
-            if max(params.vanish_residuals) > tol:
-                last_exc = PrecisionExhausted(
-                    f"vanishing residuals {[wctx.mp.nstr(v, 3) for v in params.vanish_residuals]} "
-                    f"at digits={wctx.digits}"
-                )
-                break  # escalate precision rather than walk the ladder
-            return _finish_reduction(params, A, B, t, wctx)
-        else:
-            if isinstance(last_exc, DegenerateLeading):
-                raise ShiftLadderExhausted(
-                    f"every pre-shift left the elimination degenerate: {last_exc}"
-                )
-    if isinstance(last_exc, PrecisionExhausted):
-        raise last_exc
-    raise PrecisionExhausted(f"reduction failed after escalation: {last_exc}")
+    for t_re, t_im in [(0, 0)] + _SHIFT_LADDER:
+        t = ctx.mpc(t_re, t_im)
+        shifted = base if t == 0 else base.shifted(t, ctx)
+        try:
+            params, A, B = _attempt(shifted, ctx)
+        except DegenerateLeading as exc:
+            last_exc = exc
+            continue
+        if max(params.vanish_residuals) > ctx.pow10(-(ctx.digits // 2)):
+            raise PrecisionExhausted(
+                f"vanishing residuals {[ctx.mp.nstr(v, 3) for v in params.vanish_residuals]} "
+                f"at digits={ctx.digits}"
+            )
+        return _finish_reduction(params, A, B, t, ctx)
+    raise ShiftLadderExhausted(f"every pre-shift left the elimination degenerate: {last_exc}")
 
 
 def _finish_reduction(params, A, B, shift, ctx: PrecisionCtx) -> BringReduction:
@@ -507,6 +495,5 @@ def _finish_reduction(params, A, B, shift, ctx: PrecisionCtx) -> BringReduction:
         shift=shift,
         params=params,
         pure_radical=pure,
-        precision_used=ctx.digits,
         ctx=ctx,
     )

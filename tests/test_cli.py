@@ -83,6 +83,16 @@ def test_solve_oracle_fallback(capsys):
     assert len(payload["roots"]) == 5
 
 
+def test_solve_oracle_fallback_text_signs(capsys):
+    code, out, _ = run(
+        capsys, GOLDEN_ARGS + ["--digits", "50", "--strategy", "series", "--fallback", "oracle"]
+    )
+    assert code == 0
+    assert "oracle fallback" in out
+    assert sum(line.startswith("  r") for line in out.splitlines()) == 5
+    assert not any("+ -" in line for line in out.splitlines())
+
+
 def test_verify_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, GOLDEN_ARGS + ["--digits", "60", "--json"])
     assert code == 0

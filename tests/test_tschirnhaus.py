@@ -3,7 +3,7 @@ import random
 import pytest
 
 import quintic.tschirnhaus as tschirnhaus
-from quintic.errors import DegenerateLeading, QuinticError
+from quintic.errors import DegenerateLeading, PrecisionExhausted, QuinticError
 from quintic.mpfield import PrecisionCtx, parse_complex
 from quintic.oracle import aberth_solve, match_rootsets
 from quintic.polyring import Poly, eval_poly, fit_coeffs
@@ -451,3 +451,25 @@ def test_huge_roots_typed_failure_or_correct():
     except QuinticError:
         return
     assert match_rootsets(report.roots, roots).max_distance <= ctx.pow10(-25) * 10**30
+
+
+def _cluster_triple(ctx):
+    # three roots 1e-8 apart: the vanishing checks fail below 200 digits
+    c = ctx.mpc("0.5", "0.25")
+    gap = ctx.mpf("1e-8")
+    roots = [c, c + gap, c + gap * 1j, ctx.mpc("-1.3", "0.7"), ctx.mpc("2.1", "-0.4")]
+    coeffs = Poly.from_roots(roots, ctx).coeffs
+    return MonicQuintic(coeffs[4], coeffs[3], coeffs[2], coeffs[1], coeffs[0]), roots
+
+
+def test_reduction_stays_at_given_precision(ctx100):
+    q, _ = _cluster_triple(ctx100)
+    with pytest.raises(PrecisionExhausted):
+        reduce_to_bring(q, ctx100)
+
+
+def test_solve_owns_precision_ladder(ctx50):
+    q, roots = _cluster_triple(ctx50)
+    report = solve_quintic(q, ctx50)
+    assert report.precision_used == 200
+    assert match_rootsets(report.roots, roots).max_distance <= ctx50.pow10(-25)
