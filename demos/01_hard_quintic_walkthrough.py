@@ -15,7 +15,7 @@ ctx = PrecisionCtx(digits=200)
 quintic = MonicQuintic.make(ctx, "-200i", "1340", "12.34910", "-239.18200", "339.2181700")
 
 print("solving  x^5 - 200i x^4 + 1340 x^3 + 12.34910 x^2 - 239.18200 x + 339.2181700 = 0")
-print(f"working precision: {ctx.digits} digits (+{ctx.guard_digits} guard)\n")
+print(f"working precision: {ctx.digits} digits ({ctx.working_dps} carried internally)\n")
 
 start = time.perf_counter()
 report = solve_quintic(quintic, ctx)

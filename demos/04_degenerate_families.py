@@ -22,7 +22,7 @@ def show(label, coeffs):
         return
     iterated = aberth_solve(quintic.as_poly(ctx), ctx)
     dist = match_rootsets(report.roots, iterated).max_distance
-    shift = report.shift_applied
+    shift = report.reduction.shift
     shift_txt = mp.nstr(shift, 5) if shift != 0 else "none"
     print(f"{label:<28} strategy={report.bring.strategy:<16} shift={shift_txt:<12} "
           f"max residual={mp.nstr(max(report.residuals), 3)} oracle distance={mp.nstr(dist, 3)}")

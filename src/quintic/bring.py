@@ -30,7 +30,6 @@ __all__ = ["BringSolution", "hyper4f3", "bring_root_continuation", "solve_bring"
 
 SERIES = "series"
 ODE_CONTINUATION = "ode_continuation"
-NEWTON_ONLY = "newton_only"
 PURE_RADICAL = "pure_radical"
 
 # |s| of the four branch points: 3125 s^4 = 256.
@@ -42,6 +41,9 @@ _DETOUR_RADIUS = 0.1
 _RING_RADIUS = 0.05  # endpoints closer than this arrive via the tau chart
 _FAR_FIELD = 1.6
 _FAR_ANCHOR = 1.3
+
+# hyper4f3 gives up after this many terms per decimal digit
+_SERIES_TERMS_PER_DIGIT = 100
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,8 @@ def hyper4f3(x, ctx: PrecisionCtx):
     term = mp.mpc(1)
     tiny_streak = 0
     cutoff = ctx.pow10(-ctx.digits - 10)
-    for k in range(ctx.max_series_terms):
+    budget = _SERIES_TERMS_PER_DIGIT * ctx.digits
+    for k in range(budget):
         ratio = (up[0] + k) * (up[1] + k) * (up[2] + k) * (up[3] + k)
         ratio /= (low[0] + k) * (low[1] + k) * (low[2] + k) * (k + 1)
         term = term * ratio * x
@@ -76,7 +79,7 @@ def hyper4f3(x, ctx: PrecisionCtx):
                 return total
         else:
             tiny_streak = 0
-    raise SeriesDivergence(f"no convergence after {ctx.max_series_terms} terms")
+    raise SeriesDivergence(f"no convergence after {budget} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,7 @@ def bring_root_continuation(s, ctx: PrecisionCtx):
         z = znew
         budget[0] -= 1
 
-    z_full = _newton(ctx.convert(z), s, ctx, -(ctx.digits + ctx.guard_digits - 5))
+    z_full = _newton(ctx.convert(z), s, ctx, -(ctx.working_dps - 5))
     return z_full, spent - budget[0]
 
 
@@ -370,7 +373,7 @@ def solve_bring(s, ctx: PrecisionCtx, strategy: str = "auto") -> BringSolution:
     use_series = strategy == "series" or (strategy == "auto" and abs(x) <= mp.mpf("0.8"))
     if use_series:
         total = hyper4f3(x, ctx)
-        z = _newton(-s * total, s, ctx, -(ctx.digits + ctx.guard_digits - 5))
+        z = _newton(-s * total, s, ctx, -(ctx.working_dps - 5))
         picked = SERIES
         count = 0
     else:

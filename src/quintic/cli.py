@@ -50,10 +50,6 @@ def _merge_coefficient_values(argv):
     return out
 
 
-def _fmt(z, digits):
-    return format_complex(z, digits)
-
-
 def _out_digits(digits: int) -> int:
     return max(10, digits - 15)
 
@@ -62,8 +58,10 @@ def _root_entries(roots, residuals, digits: int) -> dict:
     """The "roots" and "residuals" keys shared by every solve payload."""
     out_digits = _out_digits(digits)
     return {
-        "roots": [{"re": _fmt(x.real, out_digits), "im": _fmt(x.imag, out_digits)} for x in roots],
-        "residuals": [_fmt(v, 10) for v in residuals],
+        "roots": [
+            {"re": format_complex(x.real, out_digits), "im": format_complex(x.imag, out_digits)} for x in roots
+        ],
+        "residuals": [format_complex(v, 10) for v in residuals],
     }
 
 
@@ -73,27 +71,27 @@ def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int, seed:
     out_digits = _out_digits(digits)
     params = report.reduction.params
     diag = {
-        "alpha": _fmt(params.alpha, out_digits) if params else None,
-        "xi": _fmt(params.xi, out_digits) if params else None,
-        "eta": _fmt(params.eta, out_digits) if params else None,
-        "d": _fmt(params.d, out_digits) if params else None,
-        "A": _fmt(report.reduction.A, out_digits),
-        "B": _fmt(report.reduction.B, out_digits),
-        "s": _fmt(report.reduction.s, out_digits) if report.reduction.s is not None else None,
+        "alpha": format_complex(params.alpha, out_digits) if params else None,
+        "xi": format_complex(params.xi, out_digits) if params else None,
+        "eta": format_complex(params.eta, out_digits) if params else None,
+        "d": format_complex(params.d, out_digits) if params else None,
+        "A": format_complex(report.reduction.A, out_digits),
+        "B": format_complex(report.reduction.B, out_digits),
+        "s": format_complex(report.reduction.s, out_digits) if report.reduction.s is not None else None,
         "strategy": report.bring.strategy,
-        "shift": _fmt(ctx.convert(report.shift_applied), out_digits),
+        "shift": format_complex(ctx.convert(report.reduction.shift), out_digits),
         "precision_used": report.precision_used,
-        "candidate_residuals": [_fmt(v, 10) for v in report.candidate_residuals],
+        "candidate_residuals": [format_complex(v, 10) for v in report.candidate_residuals],
     }
     return {
         **_root_entries(report.roots, report.residuals, digits),
         "diagnostics": diag,
         "input": {
-            "m": _fmt(quintic.m, out_digits),
-            "n": _fmt(quintic.n, out_digits),
-            "p": _fmt(quintic.p, out_digits),
-            "q": _fmt(quintic.q, out_digits),
-            "r": _fmt(quintic.r, out_digits),
+            "m": format_complex(quintic.m, out_digits),
+            "n": format_complex(quintic.n, out_digits),
+            "p": format_complex(quintic.p, out_digits),
+            "q": format_complex(quintic.q, out_digits),
+            "r": format_complex(quintic.r, out_digits),
             "digits": digits,
             "seed": seed,
         },

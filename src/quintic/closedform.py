@@ -18,7 +18,6 @@ from .errors import (
     AmbiguousSelection,
     QuinticError,
     CancellationFailure,
-    CrossCheckError,
     DegenerateCubic,
     NearBranchPoint,
     NotARoot,
@@ -27,7 +26,6 @@ from .errors import (
     StageError,
 )
 from .mpfield import PrecisionCtx, pow_rational, sqrt_principal
-from .polyring import deflate as poly_deflate
 from .tschirnhaus import BringReduction, MonicQuintic, reduce_to_bring
 
 __all__ = [
@@ -68,7 +66,6 @@ class RootReport:
     reduction: BringReduction
     candidate_residuals: tuple
     precision_used: int
-    shift_applied: object
 
 
 def cardano_roots(c3, c2, c1, c0, ctx: PrecisionCtx):
@@ -117,10 +114,6 @@ def cardano_roots(c3, c2, c1, c0, ctx: PrecisionCtx):
     return roots
 
 
-def _quartic_root_residual_scale(quartic, root, ctx):
-    return quartic.scale(ctx) * max(ctx.mpf(1), abs(root)) ** 4
-
-
 def ferrari_roots(quartic: QuarticCoeffs, ctx: PrecisionCtx):
     """Four roots of a monic quartic via the resolvent-cubic factorization.
 
@@ -141,7 +134,7 @@ def ferrari_roots(quartic: QuarticCoeffs, ctx: PrecisionCtx):
     candidates = cardano_roots(ctx.mpc(1), r2, r1, r0, ctx)
 
     tol = ctx.pow10(-ctx.digits + 12)
-    half = p3 / 2
+    qscale = q.scale(ctx)
     best = None
     best_worst = None
     for g in candidates:
@@ -158,9 +151,8 @@ def ferrari_roots(quartic: QuarticCoeffs, ctx: PrecisionCtx):
             -p3 / 4 - e / 2 + s2 / 4,
             -p3 / 4 - e / 2 - s2 / 4,
         ]
-        worst = max(
-            abs(q.eval(r, ctx)) / _quartic_root_residual_scale(q, r, ctx) for r in roots
-        )
+        # residuals relative to the size of the terms of q(r)
+        worst = max(abs(q.eval(r, ctx)) / (qscale * max(ctx.mpf(1), abs(r)) ** 4) for r in roots)
         if best_worst is None or worst < best_worst:
             best, best_worst = roots, worst
         if worst <= tol:
@@ -199,8 +191,9 @@ def select_quintic_root(quintic: MonicQuintic, candidates, ctx: PrecisionCtx):
 def deflate_quintic(quintic: MonicQuintic, r1, ctx: PrecisionCtx) -> QuarticCoeffs:
     """Factor out a known root: the quartic left after dividing by (x - r1).
 
-    Uses the direct coefficient formulas and cross-checks them against
-    synthetic division.
+    Uses the direct coefficient formulas, after checking that r1 is a root
+    to half the working digits; ``polyring.deflate`` is the synthetic-division
+    reference the tests compare them with.
     """
     m, n, p, q, r = (ctx.convert(v) for v in quintic.coeffs())
     r1 = ctx.convert(r1)
@@ -211,11 +204,6 @@ def deflate_quintic(quintic: MonicQuintic, r1, ctx: PrecisionCtx) -> QuarticCoef
     cc = n + r1 * r1 + m * r1
     bb = p + r1 * n + r1**3 + m * r1 * r1
     aa = q + r1 * p + r1 * r1 * n + r1**4 + m * r1**3
-    division = poly_deflate(quintic.as_poly(ctx), r1, ctx)
-    tol = ctx.pow10(-ctx.digits + 15)
-    for direct, divided in zip((aa, bb, cc, dd), division.coeffs[:4]):
-        if abs(direct - divided) > tol * max(ctx.mpf(1), abs(direct)):
-            raise CrossCheckError("deflation formulas disagree with synthetic division")
     return QuarticCoeffs(p3=dd, p2=cc, p1=bb, p0=aa)
 
 
@@ -298,7 +286,6 @@ def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int, strate
         reduction=reduction,
         candidate_residuals=tuple(cand_res),
         precision_used=ctx.digits,
-        shift_applied=reduction.shift,
     )
 
 

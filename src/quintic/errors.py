@@ -1,7 +1,7 @@
 """Exception hierarchy for the quintic solver.
 
 Every failure mode is a distinct class so callers can react to precise
-conditions (degenerate eliminations, guard failures, precision exhaustion)
+conditions (degenerate eliminations, branch points, precision exhaustion)
 instead of parsing messages.
 """
 
@@ -24,14 +24,6 @@ class ZeroToNegativePower(QuinticError):
 
 class OverflowEscape(QuinticError):
     """A non-finite value (NaN/inf) escaped an arithmetic operation."""
-
-
-class DegreeGuardFailure(QuinticError):
-    """Sampled values failed the degree guard of ``polyring.fit_coeffs``.
-
-    The sampled function is not a polynomial of the claimed degree, or
-    cancellation swamped its values.
-    """
 
 
 class NotARoot(QuinticError):
@@ -100,10 +92,6 @@ class PrecisionExhausted(QuinticError):
     ``solve_quintic`` retries on it at 2x and 4x precision and raises it
     again once the 4x attempt fails too.
     """
-
-
-class CrossCheckError(QuinticError):
-    """Two independent computations of the same quantity disagreed."""
 
 
 class StageError(QuinticError):

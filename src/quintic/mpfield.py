@@ -6,7 +6,7 @@ there is no ambient global precision state, so independent solves at
 different precisions can run concurrently.  All multivalued functions use
 principal branches with the cut on the negative real axis, arg in (-pi, pi].
 
-Internally every operation runs with ``guard_digits`` extra decimal digits;
+Internally every operation runs with ``GUARD_DIGITS`` extra decimal digits;
 results are only rounded down to the user-facing digit count when formatted.
 """
 
@@ -35,41 +35,37 @@ __all__ = [
 # Declared as a name so signatures elsewhere read like the domain model.
 AppComplex = object
 
+# Decimal digits every context carries beyond its user-facing count.
+GUARD_DIGITS = 20
+
 
 @dataclass(frozen=True)
 class PrecisionCtx:
     """Explicit working-precision context.
 
-    digits           user-facing precision in decimal digits (>= 30)
-    guard_digits     extra digits carried internally (>= 10)
-    max_series_terms divergence guard for series evaluation
-    seed             64-bit seed recorded for reproducible randomized paths
+    digits  user-facing precision in decimal digits (>= 30); arithmetic
+            runs at working_dps = digits + GUARD_DIGITS
+    seed    64-bit seed recorded for reproducible randomized paths
     """
 
     digits: int
-    guard_digits: int = 20
-    max_series_terms: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.digits < 30:
             raise ValueError("digits must be >= 30")
-        if self.guard_digits < 10:
-            raise ValueError("guard_digits must be >= 10")
-        if self.max_series_terms is None:
-            object.__setattr__(self, "max_series_terms", 100 * self.digits)
         mp = MPContext()
-        mp.dps = self.digits + self.guard_digits
+        mp.dps = self.working_dps
         object.__setattr__(self, "_mp", mp)
 
     @property
     def mp(self) -> MPContext:
-        """The private mpmath context (dps = digits + guard_digits)."""
+        """The private mpmath context (dps = working_dps)."""
         return self._mp
 
     @property
     def working_dps(self) -> int:
-        return self.digits + self.guard_digits
+        return self.digits + GUARD_DIGITS
 
     def mpc(self, re=0, im=0):
         """Build an AppComplex from numbers or decimal strings."""
@@ -96,11 +92,11 @@ class PrecisionCtx:
 
     def escalated(self, factor: int) -> "PrecisionCtx":
         """A context with digits multiplied by ``factor``, same seed (shared)."""
-        return shared_ctx(self.digits * factor, self.guard_digits, self.seed)
+        return shared_ctx(self.digits * factor, self.seed)
 
 
 @lru_cache(maxsize=32)
-def shared_ctx(digits: int, guard_digits: int = 20, seed: int = 0) -> PrecisionCtx:
+def shared_ctx(digits: int, seed: int = 0) -> PrecisionCtx:
     """One PrecisionCtx per setting, shared by the solver's internal callers.
 
     Every value computed in a context keeps that context's MPContext alive,
@@ -109,7 +105,7 @@ def shared_ctx(digits: int, guard_digits: int = 20, seed: int = 0) -> PrecisionC
     context's precision after construction; contexts that callers build
     with ``PrecisionCtx(...)`` stay their own.
     """
-    return PrecisionCtx(digits=digits, guard_digits=guard_digits, seed=seed)
+    return PrecisionCtx(digits=digits, seed=seed)
 
 
 def require_finite(z, ctx: PrecisionCtx):

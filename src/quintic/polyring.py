@@ -1,19 +1,18 @@
 """Dense univariate polynomial arithmetic over AppComplex.
 
 Provides Horner evaluation, 5x5 determinants of matrices whose entries are
-degree<=1 polynomials (the elimination matrix), synthetic-division deflation,
-and degree-guarded interpolation, which the tests use to rebuild the
-reduction's forms from sampled determinants as an independent reference.
+degree<=1 polynomials (the elimination matrix) and synthetic-division
+deflation.
 """
 
 from __future__ import annotations
 
 from mpmath import libmp
 
-from .errors import DegreeGuardFailure, NotARoot
+from .errors import NotARoot
 from .mpfield import PrecisionCtx
 
-__all__ = ["Poly", "PolyMatrix5", "eval_poly", "det5", "fit_coeffs", "deflate"]
+__all__ = ["Poly", "PolyMatrix5", "eval_poly", "det5", "deflate"]
 
 
 class Poly:
@@ -47,38 +46,6 @@ class Poly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = out[i] + v
-        return Poly(out)
-
-    def __neg__(self):
-        return Poly([-v for v in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return Poly([v * other for v in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            for j, v in enumerate(b):
-                out[i + j] = out[i + j] + u * v
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, k):
-        return Poly([v * k for v in self.coeffs])
 
     def max_coeff_mag(self):
         return max((abs(v) for v in self.coeffs), default=0)
@@ -206,54 +173,6 @@ def det5(matrix: PolyMatrix5, ctx: PrecisionCtx) -> Poly:
         minors = nxt
     make = ctx.mp.make_mpc
     return Poly([make(v) for v in minors[0b11111]])
-
-
-def fit_coeffs(samples, expected_degree: int, ctx: PrecisionCtx, scale=None):
-    """Degree-verified interpolation.
-
-    ``samples`` holds exactly expected_degree + 2 (node, value) pairs with
-    pairwise-distinct nodes; the first expected_degree + 1 define the unique
-    interpolant, the last is a guard node.  The guard's predicted value must
-    match its sampled value to 10**(-digits/2) relative, certifying that the
-    sampled quantity really is a polynomial of the expected degree.
-    """
-    d = expected_degree
-    samples = [(ctx.convert(x), ctx.convert(v)) for x, v in samples]
-    if len(samples) != d + 2:
-        raise ValueError(f"need exactly {d + 2} samples, got {len(samples)}")
-    nodes = [x for x, _ in samples[: d + 1]]
-    vals = [v for _, v in samples[: d + 1]]
-    guard_x, guard_v = samples[d + 1]
-
-    # Newton divided differences.
-    dd = list(vals)
-    for level in range(1, d + 1):
-        for i in range(d, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - level])
-
-    # Expand Newton form into monomial coefficients.
-    coeffs = [ctx.mpc(0)] * (d + 1)
-    basis = [ctx.mpc(1)]  # prod_{j<level} (x - node_j)
-    for level in range(d + 1):
-        for i, b in enumerate(basis):
-            coeffs[i] = coeffs[i] + dd[level] * b
-        if level < d:
-            nb = [0] + basis
-            for i in range(len(basis)):
-                nb[i] = nb[i] - nodes[level] * basis[i]
-            basis = nb
-
-    predicted = eval_poly(Poly(coeffs), guard_x, ctx)
-    if scale is None:
-        scale = max(abs(v) for _, v in samples)
-    else:
-        scale = abs(ctx.convert(scale))
-    if abs(predicted - guard_v) > ctx.pow10(-(ctx.digits // 2)) * scale:
-        raise DegreeGuardFailure(
-            f"degree-{d} guard failed: |predicted - sampled| = "
-            f"{ctx.mp.nstr(abs(predicted - guard_v), 5)} vs scale {ctx.mp.nstr(scale, 5)}"
-        )
-    return coeffs
 
 
 def deflate(poly: Poly, root, ctx: PrecisionCtx) -> Poly:

@@ -35,19 +35,16 @@ __all__ = [
     "BringReduction",
     "build_matrix",
     "transformed_poly",
-    "solve_a",
-    "solve_alpha",
-    "solve_eta_xi",
-    "solve_d",
+    "TraceForms",
     "reduce_to_bring",
 ]
 
 # Pre-shift ladder tried on degenerate eliminations, in order.
 _SHIFT_LADDER = [(1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (-2, 0), (0, 2), (0, -2)]
 
-# Branch choices pinned by the golden regression test: the sampled alpha / xi
-# quadratics take the root matching the reference worked example, and solve_d
-# takes this cardano_roots index.
+# Branch choices pinned by the golden regression test: the alpha / xi
+# quadratics take the root matching the reference worked example, and
+# TraceForms.d takes this cardano_roots index.
 _XI_BRANCH = -1
 _D_INDEX = 0
 
@@ -216,7 +213,13 @@ def _power_sums(quintic: MonicQuintic, ctx: PrecisionCtx, top: int):
     return sums
 
 
-class _TraceForms:
+# unit vectors: U(x) = x, x^2 and x^4
+_E1 = (1, 0, 0, 0)
+_E2 = (0, 1, 0, 0)
+_E4 = (0, 0, 0, 1)
+
+
+class TraceForms:
     """Trace forms of one quintic at one precision.
 
     A vector u = (u1, u2, u3, u4) stands for U(x) = u1*x + u2*x^2 + u3*x^3 +
@@ -225,9 +228,14 @@ class _TraceForms:
     coefficient -g(v, v)/2 and y^2 coefficient h(v, v, v)/3, where g and h
     are the traces of products of centred polynomials.  Traces of products
     are power sums P_0..P_12 of the roots, which Newton's identities give.
+
+    The parameters are solved in the order alpha, (eta, xi), d, a: with
+    b = alpha*d + xi and c = d + eta, each step zeroes one part of the y^3
+    or y^2 coefficient.
     """
 
     def __init__(self, quintic: MonicQuintic, ctx: PrecisionCtx):
+        quintic = quintic.rebind(ctx)
         self.ctx = ctx
         self.sums = _power_sums(quintic, ctx, 12)
         self.rscale = _root_scale(quintic, ctx)
@@ -242,10 +250,6 @@ class _TraceForms:
                     out[i + j + 1] += pv * uv
             prod = out
         return sum(pv * s for pv, s in zip(prod, self.sums))
-
-    def solve_a(self, b, c, d):
-        """The a making Tr T, and with it the y^4 coefficient, vanish."""
-        return -self.trace((b, c, d, 1)) / 5
 
     def g(self, u, w):
         """Tr of the product of centred U and W."""
@@ -265,10 +269,59 @@ class _TraceForms:
         """
         return sum(abs(v) * self.rscale ** (j + 1) for j, v in enumerate(u))
 
+    def a(self, b, c, d):
+        """The a making Tr T, and with it the y^4 coefficient, vanish."""
+        return -self.trace((b, c, d, 1)) / 5
 
-_E1 = (1, 0, 0, 0)
-_E2 = (0, 1, 0, 0)
-_E4 = (0, 0, 0, 1)
+    def alpha(self):
+        """Root of the quadratic that the d^2 part of the y^3 coefficient forms in alpha.
+
+        The d^2 part is -g(w1, w1)/2 for w1 = (alpha, 1, 1, 0); it does not
+        involve eta or xi.
+        """
+        f = (0, 1, 1, 0)
+        coeffs = [-self.g(f, f) / 2, -self.g(_E1, f), -self.g(_E1, _E1) / 2]
+        ref = self.weight(f) ** 2
+        return _root_of_sampled_poly(coeffs, self.ctx, -1, 0, "alpha quadratic", ref=ref)
+
+    def eta_xi(self, alpha):
+        """(eta, xi) making the y^3 coefficient vanish identically in d.
+
+        The d^1 part is affine in (eta, xi); solving it for eta and
+        substituting into the d^0 part leaves a quadratic in xi.
+        """
+        ctx = self.ctx
+        w1 = (alpha, 1, 1, 0)
+        # d^1 part -g(w0, w1) with w0 = (xi, eta, 0, 1): u0 + u_eta*eta + u_xi*xi
+        u0, u_eta, u_xi = (-self.g(e, w1) for e in (_E4, _E2, _E1))
+        floor = ctx.pow10(-(ctx.digits // 2)) * self.weight(w1) * self.weight(_E4)
+        # the solution line (eta, xi) = origin + t*step
+        if abs(u_eta) > floor:  # eta eliminated; t is xi
+            origin, step = (-u0 / u_eta, 0), (-u_xi / u_eta, 1)
+        elif abs(u_xi) > floor:  # xi eliminated instead; t is eta
+            origin, step = (0, -u0 / u_xi), (1, -u_eta / u_xi)
+        elif abs(u0) <= floor:  # d^1 part already vanishes identically; pin eta = 0
+            origin, step = (0, 0), (0, 1)
+        else:
+            raise DegenerateLeading("d^1 part of the y^3 coefficient is a nonzero constant")
+
+        # d^0 part -g(w0, w0)/2 along the line, a quadratic in t
+        z0 = (origin[1], origin[0], 0, 1)
+        z1 = (step[1], step[0], 0, 0)
+        coeffs = [-self.g(z0, z0) / 2, -self.g(z0, z1), -self.g(z1, z1) / 2]
+        ref = max(self.weight(z0), self.weight(z1)) ** 2
+        t = _root_of_sampled_poly(coeffs, ctx, _XI_BRANCH, 0, "xi quadratic", ref=ref)
+        return origin[0] + t * step[0], origin[1] + t * step[1]
+
+    def d(self, alpha, eta, xi):
+        """Root of the cubic that the y^2 coefficient forms in d."""
+        # h(w0 + d*w1, ...)/3 expanded in d
+        w0 = (xi, eta, 0, 1)
+        w1 = (alpha, 1, 1, 0)
+        h = self.h
+        coeffs = [h(w0, w0, w0) / 3, h(w0, w0, w1), h(w0, w1, w1), h(w1, w1, w1) / 3]
+        ref = max(self.weight(w0), self.weight(w1)) ** 3
+        return _root_of_sampled_poly(coeffs, self.ctx, -1, _D_INDEX, "d cubic", ref=ref)
 
 
 def _root_of_sampled_poly(coeffs, ctx, branch, cardano_index, what, ref=1):
@@ -301,78 +354,6 @@ def _root_of_sampled_poly(coeffs, ctx, branch, cardano_index, what, ref=1):
     return roots[cardano_index]
 
 
-def solve_a(quintic: MonicQuintic, b, c, d, ctx: PrecisionCtx):
-    """a making the y^4 coefficient of the transformed polynomial vanish."""
-    forms = _TraceForms(quintic.rebind(ctx), ctx)
-    return forms.solve_a(*(ctx.convert(v) for v in (b, c, d)))
-
-
-def solve_alpha(quintic: MonicQuintic, ctx: PrecisionCtx):
-    """Root of the quadratic that the d^2 part of the y^3 coefficient forms in alpha.
-
-    With b = alpha*d + xi and c = d + eta, the d^2 part is -g(w1, w1)/2 for
-    w1 = (alpha, 1, 1, 0); it does not involve eta or xi.
-    """
-    return _solve_alpha(_TraceForms(quintic.rebind(ctx), ctx))
-
-
-def _solve_alpha(forms: _TraceForms):
-    f = (0, 1, 1, 0)
-    coeffs = [-forms.g(f, f) / 2, -forms.g(_E1, f), -forms.g(_E1, _E1) / 2]
-    ref = forms.weight(f) ** 2
-    return _root_of_sampled_poly(coeffs, forms.ctx, -1, 0, "alpha quadratic", ref=ref)
-
-
-def solve_eta_xi(quintic: MonicQuintic, alpha, ctx: PrecisionCtx):
-    """(eta, xi) making the y^3 coefficient vanish identically in d.
-
-    The d^1 part is affine in (eta, xi); solving it for eta and substituting
-    into the d^0 part leaves a quadratic in xi.
-    """
-    return _solve_eta_xi(_TraceForms(quintic.rebind(ctx), ctx), ctx.convert(alpha))
-
-
-def _solve_eta_xi(forms: _TraceForms, alpha):
-    ctx = forms.ctx
-    w1 = (alpha, 1, 1, 0)
-    # d^1 part -g(w0, w1) with w0 = (xi, eta, 0, 1): u0 + u_eta*eta + u_xi*xi
-    u0, u_eta, u_xi = (-forms.g(e, w1) for e in (_E4, _E2, _E1))
-    floor = ctx.pow10(-(ctx.digits // 2)) * forms.weight(w1) * forms.weight(_E4)
-    # the solution line (eta, xi) = origin + t*step
-    if abs(u_eta) > floor:  # eta eliminated; t is xi
-        origin, step = (-u0 / u_eta, 0), (-u_xi / u_eta, 1)
-    elif abs(u_xi) > floor:  # xi eliminated instead; t is eta
-        origin, step = (0, -u0 / u_xi), (1, -u_eta / u_xi)
-    elif abs(u0) <= floor:  # d^1 part already vanishes identically; pin eta = 0
-        origin, step = (0, 0), (0, 1)
-    else:
-        raise DegenerateLeading("d^1 part of the y^3 coefficient is a nonzero constant")
-
-    # d^0 part -g(w0, w0)/2 along the line, a quadratic in t
-    z0 = (origin[1], origin[0], 0, 1)
-    z1 = (step[1], step[0], 0, 0)
-    coeffs = [-forms.g(z0, z0) / 2, -forms.g(z0, z1), -forms.g(z1, z1) / 2]
-    ref = max(forms.weight(z0), forms.weight(z1)) ** 2
-    t = _root_of_sampled_poly(coeffs, ctx, _XI_BRANCH, 0, "xi quadratic", ref=ref)
-    return origin[0] + t * step[0], origin[1] + t * step[1]
-
-
-def solve_d(quintic: MonicQuintic, alpha, eta, xi, ctx: PrecisionCtx):
-    """Root of the cubic that the y^2 coefficient forms in d."""
-    forms = _TraceForms(quintic.rebind(ctx), ctx)
-    return _solve_d(forms, *(ctx.convert(v) for v in (alpha, eta, xi)))
-
-
-def _solve_d(forms: _TraceForms, alpha, eta, xi):
-    # h(w0 + d*w1, ...)/3 expanded in d
-    w0 = (xi, eta, 0, 1)
-    w1 = (alpha, 1, 1, 0)
-    h = forms.h
-    coeffs = [h(w0, w0, w0) / 3, h(w0, w0, w1), h(w0, w1, w1), h(w1, w1, w1) / 3]
-    ref = max(forms.weight(w0), forms.weight(w1)) ** 3
-    return _root_of_sampled_poly(coeffs, forms.ctx, -1, _D_INDEX, "d cubic", ref=ref)
-
-
 # ---------------------------------------------------------------------------
 # Orchestration.
 # ---------------------------------------------------------------------------
@@ -403,13 +384,13 @@ def _attempt(quintic: MonicQuintic, ctx: PrecisionCtx):
     The forms give the parameters; one determinant evaluation at the solved
     substitution then gives A, B and the vanishing residuals that certify it.
     """
-    forms = _TraceForms(quintic, ctx)
-    alpha = _solve_alpha(forms)
-    eta, xi = _solve_eta_xi(forms, alpha)
-    d = _solve_d(forms, alpha, eta, xi)
+    forms = TraceForms(quintic, ctx)
+    alpha = forms.alpha()
+    eta, xi = forms.eta_xi(alpha)
+    d = forms.d(alpha, eta, xi)
     b = alpha * d + xi
     c = d + eta
-    a = forms.solve_a(b, c, d)
+    a = forms.a(b, c, d)
     poly = transformed_poly(quintic, a, b, c, d, ctx)
     A = poly.coeff(1)
     B = poly.coeff(0)

@@ -1,0 +1,47 @@
+"""Every exported name and every attribute the benchmark's tracer wraps must exist.
+
+``perfbench/spans.py`` wraps solver attributes by name, and ``Tracer.install``
+runs outside the benchmark's error handling, so a renamed or deleted
+attribute would break ``perfbench/run.py --trace 1``.  These tests only read
+``perfbench/``.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import quintic
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+MODULES = ["quintic"] + [f"quintic.{info.name}" for info in pkgutil.iter_modules(quintic.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _load(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_wrapped_attributes_resolve(monkeypatch):
+    spans = _load("spans", monkeypatch)
+    run = _load("run", monkeypatch)
+    targets = run.Solver(50).modules
+    missing = [
+        f"{key}.{attr}" for _, key, attr in spans.WRAPPED if key not in targets or not hasattr(targets[key], attr)
+    ]
+    assert not missing, f"perfbench/spans.py wraps attributes that do not exist: {missing}"

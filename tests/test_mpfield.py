@@ -16,22 +16,21 @@ from quintic.mpfield import (
 def test_ctx_invariants():
     with pytest.raises(ValueError):
         PrecisionCtx(digits=29)
-    with pytest.raises(ValueError):
-        PrecisionCtx(digits=50, guard_digits=5)
     ctx = PrecisionCtx(digits=50)
-    assert ctx.max_series_terms == 5000
     assert ctx.working_dps == 70
+    assert ctx.mp.dps == 70
 
 
 
 def test_escalated_contexts_are_shared():
     # a returned value pins the context it was computed in, so escalation
     # must not build a fresh context per call
-    ctx = PrecisionCtx(digits=50, guard_digits=12, seed=7)
+    ctx = PrecisionCtx(digits=50, seed=7)
     up = ctx.escalated(2)
-    assert up is PrecisionCtx(digits=50, guard_digits=12, seed=7).escalated(2)
-    assert (up.digits, up.guard_digits, up.seed) == (100, 12, 7)
-    assert up.mp.dps == 112
+    assert up is PrecisionCtx(digits=50, seed=7).escalated(2)
+    assert (up.digits, up.seed) == (100, 7)
+    assert up.mp.dps == 120
+    assert up is not PrecisionCtx(digits=50, seed=8).escalated(2)
     assert PrecisionCtx(digits=100) is not PrecisionCtx(digits=100)
 
 def test_sqrt_trivial_examples(ctx50):
