@@ -312,7 +312,8 @@ def bring_root_continuation(s, ctx: PrecisionCtx):
     def anchor(znew, pos):
         return _newton(znew, pos, octx, -(octx.digits - 5), max_iter=4)
 
-    for a, b in zip(_plan_waypoints(0.0, main_target), _plan_waypoints(0.0, main_target)[1:]):
+    waypoints = _plan_waypoints(0.0, main_target)
+    for a, b in zip(waypoints, waypoints[1:]):
         z = st.march(z, octx.mpc(a.real, a.imag), octx.mpc(b.real, b.imag), "z", budget, anchor)
 
     if far:

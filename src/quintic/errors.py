@@ -30,10 +30,6 @@ class NotARoot(QuinticError):
     """Deflation was asked to remove a point that is not a root."""
 
 
-class DegenerateTransform(QuinticError):
-    """The elimination determinant lost its leading y^5 term."""
-
-
 class DegenerateLeading(QuinticError):
     """A solved-for equation lost every usable leading coefficient."""
 

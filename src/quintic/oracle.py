@@ -98,11 +98,11 @@ def aberth_solve(poly: Poly, ctx: PrecisionCtx):
     rounds.  The full-precision loop then starts from the float estimates,
     or from the circle when a coefficient is not a finite float, the float
     phase overflows or divides by zero, or two estimates coincide.  Its
-    stopping rule does not depend on where it started: a residual below
-    10**(-digits+20) relative to the coefficient scale, or a step below
-    10**(-digits-5).  Multiple roots converge linearly and land within
-    roughly half the working precision of each other, which the residual
-    stop accepts.
+    stopping rule does not depend on where it started: a backward error
+    |p(z)| / sum(|c_k| |z|^k) below 10**(-digits+20) (Bini, Numer.
+    Algorithms 13, 1996), or a step below 10**(-digits-5).  Multiple roots
+    converge linearly and land within roughly half the working precision of
+    each other, which the residual stop accepts.
     """
     mp = ctx.mp
     deg = poly.degree
@@ -123,7 +123,7 @@ def aberth_solve(poly: Poly, ctx: PrecisionCtx):
     if estimates is not None:
         zs = [mp.mpc(z) for z in estimates]
 
-    coeff_scale = max(ctx.mpf(1), max(abs(c) for c in coeffs))
+    abs_coeffs = [abs(c) for c in coeffs]
     res_tol = ctx.pow10(-ctx.digits + 20)
     step_tol = ctx.pow10(-ctx.digits - 5)
     max_iter = 200 * ctx.digits
@@ -151,7 +151,7 @@ def aberth_solve(poly: Poly, ctx: PrecisionCtx):
                 correction = newton / denom
             zs[i] = zi - correction
             moved = max(moved, abs(correction) / (1 + abs(zi)))
-            if abs(f) > res_tol * coeff_scale * max(ctx.mpf(1), abs(zi)) ** deg:
+            if abs(f) > res_tol * _horner(abs_coeffs, abs(zi)):
                 done = False
         if done or moved <= step_tol:
             break

@@ -1,8 +1,8 @@
 """Dense univariate polynomial arithmetic over AppComplex.
 
 Provides Horner evaluation, 5x5 determinants of matrices whose entries are
-degree<=1 polynomials (the elimination matrix) and synthetic-division
-deflation.
+degree<=1 polynomials (the reduction's certificate det(y*I + M_T)) and
+synthetic-division deflation.
 """
 
 from __future__ import annotations

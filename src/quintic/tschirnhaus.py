@@ -11,21 +11,19 @@ linear condition fixes a; writing b = alpha*d + xi and c = d + eta splits
 the quadratic one into an alpha quadratic, an affine (eta, xi) line and a
 xi quadratic, and the cubic one leaves a cubic in d.
 
-The solved substitution is then evaluated once through the paper's 5x5
-elimination determinant, which gives A, B and the residual y^4, y^3, y^2
-coefficients that certify the reduction independently of the forms.
+The solved substitution is then evaluated once through the 5x5 determinant
+det(y*I + M_T), M_T the matrix of multiplication by T(x) = x^4 + d*x^3 +
+c*x^2 + b*x + a modulo the quintic (Cox, Little & O'Shea, "Using Algebraic
+Geometry", ch. 2).  It gives A, B and the residual y^4, y^3, y^2
+coefficients that certify the reduction independently of the forms; the
+tests check it against the paper's transcribed elimination matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateLeading,
-    DegenerateTransform,
-    PrecisionExhausted,
-    ShiftLadderExhausted,
-)
+from .errors import DegenerateLeading, PrecisionExhausted, ShiftLadderExhausted
 from .mpfield import PrecisionCtx, pow_rational, sqrt_principal
 from .polyring import Poly, PolyMatrix5, det5
 
@@ -33,7 +31,6 @@ __all__ = [
     "MonicQuintic",
     "TschirnhausParams",
     "BringReduction",
-    "build_matrix",
     "transformed_poly",
     "TraceForms",
     "reduce_to_bring",
@@ -86,20 +83,12 @@ class MonicQuintic:
     def shifted(self, t, ctx: PrecisionCtx) -> "MonicQuintic":
         """Coefficients of Q(x - t); roots move to root + t."""
         t = ctx.convert(t)
-        # binomial expansion of (x - t)^k accumulated per original coefficient
-        out = [ctx.mpc(0)] * 6
-        src = [self.r, self.q, self.p, self.n, self.m, ctx.mpc(1)]
-        for k, coeff in enumerate(src):
-            row = [ctx.mpc(1)]
-            for _ in range(k):
-                nxt = [ctx.mpc(0)] * (len(row) + 1)
-                for i, v in enumerate(row):
-                    nxt[i] = nxt[i] - t * v
-                    nxt[i + 1] = nxt[i + 1] + v
-                row = nxt
-            for i, v in enumerate(row):
-                out[i] = out[i] + coeff * v
-        return MonicQuintic(out[4], out[3], out[2], out[1], out[0])
+        # Taylor shift: repeated synthetic division by x + t
+        c = [ctx.convert(v) for v in (self.r, self.q, self.p, self.n, self.m)] + [ctx.mpc(1)]
+        for i in range(5):
+            for j in range(4, i - 1, -1):
+                c[j] -= t * c[j + 1]
+        return MonicQuintic(c[4], c[3], c[2], c[1], c[0])
 
 
 @dataclass(frozen=True)
@@ -137,63 +126,29 @@ class BringReduction:
 
 
 # ---------------------------------------------------------------------------
-# Elimination matrix: the 25 entries, transcribed term by term.
+# Certificate: the characteristic polynomial of multiplication by T.
 # ---------------------------------------------------------------------------
 
 
-def build_matrix(quintic: MonicQuintic, a, b, c, d, ctx: PrecisionCtx) -> PolyMatrix5:
-    """The 5x5 elimination matrix; entries are degree<=1 polynomials in y."""
-    m, n, p, q, r = (ctx.convert(v) for v in quintic.coeffs())
-    a, b, c, d = (ctx.convert(v) for v in (a, b, c, d))
-    one = ctx.mpc(1)
-    m2 = m * m
-    m3 = m2 * m
-    m4 = m3 * m
-
-    def C(v):
-        return Poly([v])
-
-    def L(v0, v1):
-        return Poly([v0, v1])
-
-    row1 = [L(a, one), C(b), C(c), C(d), C(one)]
-    row2 = [C(r), L(q - a, -one), C(p - b), C(n - c), C(m - d)]
-    row3 = [
-        C(d * r - m * r),
-        C(r - m * q + d * q),
-        L(q - a - m * p + d * p, -one),
-        C(p - b - m * n + d * n),
-        C(n + d * m - m2 - c),
-    ]
-    row4 = [
-        C(-m2 * r - c * r + n * r + d * m * r),
-        C(m * r - d * r - m2 * q - c * q + d * m * q + n * q),
-        C(n * p - r + d * m * p - d * q + m * q - m2 * p - c * p),
-        L(a + d * m * n - d * p - m2 * n - q + n * n + m * p - c * n, one),
-        C(-c * m - m3 + b - p + d * m2 + 2 * m * n - d * n),
-    ]
-    row5 = [
-        C(b * r - m3 * r - d * n * r + d * m2 * r + 2 * m * n * r - p * r - c * m * r),
-        C(b * q - c * m * q - n * r - d * m * r - d * n * q + c * r + m2 * r - m3 * q + 2 * m * n * q - p * q + d * m2 * q),
-        C(c * q + 2 * m * n * p - d * n * p - p * p + b * p - n * q + d * m2 * p - m * r - d * m * q - c * m * p + m2 * q - m3 * p + d * r),
-        C(-d * m * p + d * m2 * n + c * p + d * q + 2 * m * n * n - c * m * n - m3 * n - 2 * n * p - m * q + m2 * p + b * n - d * n * n + r),
-        L(b * m - 2 * m * p + q + c * n - 2 * d * m * n - a + 3 * m2 * n - c * m2 + d * m3 - n * n - m4 + d * p, -one),
-    ]
-    return PolyMatrix5([row1, row2, row3, row4, row5])
-
-
 def transformed_poly(quintic: MonicQuintic, a, b, c, d, ctx: PrecisionCtx) -> Poly:
-    """Monic quintic in y produced by the elimination determinant."""
-    det = det5(build_matrix(quintic, a, b, c, d, ctx), ctx)
-    lead = det.coeff(5)
-    # only the diagonal carries y, so a healthy determinant has y^5
-    # coefficient exactly -1: an absolute test cannot false-positive on
-    # large-coefficient quintics the way a largest-coefficient-relative
-    # test does
-    if abs(lead) <= ctx.pow10(-(ctx.digits // 2)):
-        raise DegenerateTransform("elimination determinant lost its y^5 term")
-    inv = 1 / lead
-    return Poly([v * inv for v in det.coeffs])
+    """Monic quintic in y whose roots are -T(x_i), T = x^4 + d*x^3 + c*x^2 + b*x + a.
+
+    By Stickelberger's theorem the product of (y + T(x_i)) is det(y*I + M_T),
+    where column k of M_T holds T(x)*x^k reduced modulo the quintic in the
+    basis 1, x, .., x^4.  Only the diagonal carries y, each time with
+    coefficient 1, so the determinant's y^5 coefficient is exactly 1.
+    """
+    m, n, p, q, r = (ctx.convert(v) for v in quintic.coeffs())
+    col = [ctx.convert(v) for v in (a, b, c, d)] + [ctx.mpc(1)]
+    cols = [col]
+    for _ in range(4):
+        # x * column, with x^5 = -(m*x^4 + n*x^3 + p*x^2 + q*x + r)
+        top = col[4]
+        col = [-r * top, col[0] - q * top, col[1] - p * top, col[2] - n * top, col[3] - m * top]
+        cols.append(col)
+    one = ctx.mpc(1)
+    rows = [[Poly([cols[j][i], one] if i == j else [cols[j][i]]) for j in range(5)] for i in range(5)]
+    return det5(PolyMatrix5(rows), ctx)
 
 
 # ---------------------------------------------------------------------------

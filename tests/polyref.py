@@ -1,13 +1,14 @@
-"""Reference polynomial arithmetic and guarded interpolation for the tests.
+"""Reference polynomial arithmetic, guarded interpolation and the paper's matrix.
 
 The solver itself never adds, multiplies or fits polynomials; the tests use
 these to build independent oracles (the 120-permutation determinant, the
-multiply-back check of deflation and the determinant sampled at integer
-nodes and interpolated with a degree guard).
+multiply-back check of deflation, the determinant sampled at integer
+nodes and interpolated with a degree guard, and the paper's transcribed
+elimination matrix that the solver's certificate is checked against).
 """
 
 from quintic.errors import QuinticError
-from quintic.polyring import Poly, eval_poly
+from quintic.polyring import Poly, PolyMatrix5, eval_poly
 
 
 class DegreeGuardFailure(QuinticError):
@@ -93,3 +94,50 @@ def fit_coeffs(samples, expected_degree: int, ctx, scale=None):
             f"{ctx.mp.nstr(abs(predicted - guard_v), 5)} vs scale {ctx.mp.nstr(scale, 5)}"
         )
     return coeffs
+
+
+def paper_elimination_matrix(quintic, a, b, c, d, ctx) -> PolyMatrix5:
+    """The paper's 5x5 elimination matrix, transcribed term by term.
+
+    Entries are degree<=1 polynomials in y.  Row i is column i of y*I + M_T,
+    M_T the matrix of multiplication by T(x) = x^4 + d*x^3 + c*x^2 + b*x + a
+    modulo the quintic, times the sign (+, -, -, +, -)[i], so the
+    determinant is -prod(y + T(x_i)).
+    """
+    m, n, p, q, r = (ctx.convert(v) for v in quintic.coeffs())
+    a, b, c, d = (ctx.convert(v) for v in (a, b, c, d))
+    one = ctx.mpc(1)
+    m2 = m * m
+    m3 = m2 * m
+    m4 = m3 * m
+
+    def C(v):
+        return Poly([v])
+
+    def L(v0, v1):
+        return Poly([v0, v1])
+
+    row1 = [L(a, one), C(b), C(c), C(d), C(one)]
+    row2 = [C(r), L(q - a, -one), C(p - b), C(n - c), C(m - d)]
+    row3 = [
+        C(d * r - m * r),
+        C(r - m * q + d * q),
+        L(q - a - m * p + d * p, -one),
+        C(p - b - m * n + d * n),
+        C(n + d * m - m2 - c),
+    ]
+    row4 = [
+        C(-m2 * r - c * r + n * r + d * m * r),
+        C(m * r - d * r - m2 * q - c * q + d * m * q + n * q),
+        C(n * p - r + d * m * p - d * q + m * q - m2 * p - c * p),
+        L(a + d * m * n - d * p - m2 * n - q + n * n + m * p - c * n, one),
+        C(-c * m - m3 + b - p + d * m2 + 2 * m * n - d * n),
+    ]
+    row5 = [
+        C(b * r - m3 * r - d * n * r + d * m2 * r + 2 * m * n * r - p * r - c * m * r),
+        C(b * q - c * m * q - n * r - d * m * r - d * n * q + c * r + m2 * r - m3 * q + 2 * m * n * q - p * q + d * m2 * q),
+        C(c * q + 2 * m * n * p - d * n * p - p * p + b * p - n * q + d * m2 * p - m * r - d * m * q - c * m * p + m2 * q - m3 * p + d * r),
+        C(-d * m * p + d * m2 * n + c * p + d * q + 2 * m * n * n - c * m * n - m3 * n - 2 * n * p - m * q + m2 * p + b * n - d * n * n + r),
+        L(b * m - 2 * m * p + q + c * n - 2 * d * m * n - a + 3 * m2 * n - c * m2 + d * m3 - n * n - m4 + d * p, -one),
+    ]
+    return PolyMatrix5([row1, row2, row3, row4, row5])

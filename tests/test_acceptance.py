@@ -12,6 +12,7 @@ import time
 import pytest
 
 from quintic.bring import solve_bring
+from quintic.cli import _random_quintic
 from quintic.closedform import deflate_quintic, solve_quintic
 from quintic.mpfield import PrecisionCtx, parse_complex
 from quintic.oracle import aberth_solve, match_rootsets
@@ -30,13 +31,6 @@ from golden import (
 POPULATION_SEED = 20260808
 POPULATION_SIZE = 300
 POPULATION_DIGITS = 100
-
-
-def _random_quintic(rng, ctx, magnitude=1000.0):
-    def draw():
-        return ctx.mpc(rng.uniform(-magnitude, magnitude), rng.uniform(-magnitude, magnitude))
-
-    return MonicQuintic(draw(), draw(), draw(), draw(), draw())
 
 
 def _population_quintic(rng, ctx, index):

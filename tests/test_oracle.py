@@ -36,7 +36,7 @@ def circle_aberth(poly, ctx):
     pi2 = 2 * mp.pi
     zs = [radius * mp.exp(1j * pi2 * (k + offset + mp.mpf(1) / 4) / deg) for k in range(deg)]
 
-    coeff_scale = max(ctx.mpf(1), max(abs(c) for c in coeffs))
+    abs_coeffs = [abs(c) for c in coeffs]
     res_tol = ctx.pow10(-ctx.digits + 20)
     step_tol = ctx.pow10(-ctx.digits - 5)
     max_iter = 200 * ctx.digits
@@ -64,7 +64,11 @@ def circle_aberth(poly, ctx):
                 correction = newton / denom
             zs[i] = zi - correction
             moved = max(moved, abs(correction) / (1 + abs(zi)))
-            if abs(f) > res_tol * coeff_scale * max(ctx.mpf(1), abs(zi)) ** deg:
+            # backward error: |f| against the sum of |c_k| |z|^k
+            scale = abs_coeffs[-1]
+            for c in reversed(abs_coeffs[:-1]):
+                scale = scale * abs(zi) + c
+            if abs(f) > res_tol * scale:
                 done = False
         if done or moved <= step_tol:
             break
@@ -223,10 +227,16 @@ def test_float_seeded_degenerate_families_match(ctx50):
 
 
 def test_coefficient_past_float_range_starts_on_circle(ctx50):
-    # 10^400 is no finite float, so the loop must run from the circle alone
-    # and return the reference's roots bit for bit
+    # 10^400 is no finite float, so the loop runs from the circle of radius
+    # about 10^400 alone.  A stop scaled by max(1, |coeff|) * |z|^5 accepts
+    # that circle itself; the backward-error stop must march in to the roots
+    # 10^80 * w^k, w a primitive fifth root of unity
+    mp = ctx50.mp
     poly = Poly([-ctx50.pow10(400), 0, 0, 0, 0, ctx50.mpc(1)])
-    assert aberth_solve(poly, ctx50) == circle_aberth(poly, ctx50)
+    want = [ctx50.pow10(80) * mp.exp(2j * mp.pi * k / 5) for k in range(5)]
+    got = aberth_solve(poly, ctx50)
+    for z, j in zip(got, match_rootsets(got, want).pairing):
+        assert abs(z - want[j]) <= ctx50.pow10(-40) * abs(want[j])
 
 
 def test_float_phase_returns_only_distinct_finite_estimates(ctx50):

@@ -6,21 +6,20 @@ import quintic.tschirnhaus as tschirnhaus
 from quintic.errors import DegenerateLeading, PrecisionExhausted, QuinticError
 from quintic.mpfield import PrecisionCtx, parse_complex
 from quintic.oracle import aberth_solve, match_rootsets
-from quintic.polyring import Poly
+from quintic.polyring import Poly, det5
 from quintic.tschirnhaus import (
     _D_INDEX,
     _XI_BRANCH,
     MonicQuintic,
     TraceForms,
     _root_of_sampled_poly,
-    build_matrix,
     reduce_to_bring,
     transformed_poly,
 )
 from quintic.closedform import cardano_roots, solve_quintic
 
 from golden import GOLDEN_COEFFS, GOLDEN_S
-from polyref import fit_coeffs, poly_sub
+from polyref import fit_coeffs, paper_elimination_matrix, poly_sub
 
 
 def random_quintic(rng, ctx, magnitude=5.0):
@@ -31,33 +30,33 @@ def random_quintic(rng, ctx, magnitude=5.0):
 
 
 # ---------------------------------------------------------------------------
-# elimination matrix entries
+# the paper's elimination matrix, the reference for the certificate
 # ---------------------------------------------------------------------------
 
 
 def test_matrix_entry_m25(ctx50):
     q = MonicQuintic.make(ctx50, 2, 0, 0, 0, 0)
-    m = build_matrix(q, 0, 0, 0, ctx50.mpc(1), ctx50)
+    m = paper_elimination_matrix(q, 0, 0, 0, ctx50.mpc(1), ctx50)
     assert m.entries[1][4].coeffs == (ctx50.mpc(1),)  # m - d = 2 - 1
 
 
 def test_matrix_entry_m21_is_r(ctx50, rng):
     for _ in range(5):
         q = random_quintic(rng, ctx50)
-        m = build_matrix(q, rng.random(), rng.random(), rng.random(), rng.random(), ctx50)
+        m = paper_elimination_matrix(q, rng.random(), rng.random(), rng.random(), rng.random(), ctx50)
         assert m.entries[1][0].coeffs == (q.r,)
 
 
 def test_matrix_entry_m22(ctx50):
     q = MonicQuintic.make(ctx50, 0, 0, 0, 3, 0)
-    m = build_matrix(q, ctx50.mpc(1), 0, 0, 0, ctx50)
+    m = paper_elimination_matrix(q, ctx50.mpc(1), 0, 0, 0, ctx50)
     entry = m.entries[1][1]  # -y + q - a = 2 - y
     assert entry.coeff(0) == 2 and entry.coeff(1) == -1
 
 
 def test_matrix_diagonal_carries_y(ctx50, rng):
     q = random_quintic(rng, ctx50)
-    m = build_matrix(q, 1, 2, 3, 4, ctx50)
+    m = paper_elimination_matrix(q, 1, 2, 3, 4, ctx50)
     signs = [1, -1, -1, 1, -1]
     for i in range(5):
         for j in range(5):
@@ -71,6 +70,23 @@ def test_matrix_diagonal_carries_y(ctx50, rng):
 # ---------------------------------------------------------------------------
 # transformed polynomial
 # ---------------------------------------------------------------------------
+
+
+def test_transformed_matches_paper_matrix(ctx200):
+    # the golden quintic and 20 random ones, each at its solved substitution
+    rng = random.Random(1729)
+    quintics = [MonicQuintic.make(ctx200, *GOLDEN_COEFFS)]
+    quintics += [random_quintic(rng, ctx200, 1000.0) for _ in range(20)]
+    for q in quintics:
+        red = reduce_to_bring(q, ctx200)
+        q = q if red.shift == 0 else q.shifted(red.shift, ctx200)
+        params = (red.params.a, red.params.b, red.params.c, red.params.d)
+        got = transformed_poly(q, *params, ctx200)
+        paper = det5(paper_elimination_matrix(q, *params, ctx200), ctx200)
+        want = Poly([v / paper.coeff(5) for v in paper.coeffs])
+        assert got.degree == want.degree == 5
+        assert got.coeff(5) == 1  # exactly: only the diagonal carries y, with coefficient 1
+        assert poly_sub(got, want).max_coeff_mag() <= ctx200.pow10(-180) * want.max_coeff_mag()
 
 
 def test_transformed_x5_minus_1_identity_substitution(ctx50):
@@ -348,6 +364,9 @@ def test_shifted_coefficients_match_eval(ctx50, rng):
         assert abs(shifted.eval(x, ctx50) - q.eval(x - t, ctx50)) <= ctx50.pow10(-40) * max(
             1, abs(q.eval(x - t, ctx50))
         )
+    # shifting back returns the original coefficients
+    for got, want in zip(shifted.shifted(-t, ctx50).coeffs(), q.coeffs()):
+        assert abs(got - want) <= ctx50.pow10(-40) * max(1, abs(want))
 
 
 def test_m_zero_case_reduces_and_checks_out(ctx50):
