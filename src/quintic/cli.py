@@ -18,7 +18,7 @@ from .errors import ParseError, QuinticError
 from .mpfield import PrecisionCtx, format_complex, parse_complex
 from .oracle import aberth_solve, match_rootsets
 from .tschirnhaus import MonicQuintic
-from .closedform import RootReport, solve_quintic
+from .closedform import RootReport, inclusion_radii, solve_quintic
 
 __all__ = ["main", "cmd_solve", "cmd_verify", "cmd_bench", "report_to_json"]
 
@@ -71,10 +71,7 @@ def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int, seed:
     out_digits = _out_digits(digits)
     params = report.reduction.params
     diag = {
-        "alpha": format_complex(params.alpha, out_digits) if params else None,
-        "xi": format_complex(params.xi, out_digits) if params else None,
-        "eta": format_complex(params.eta, out_digits) if params else None,
-        "d": format_complex(params.d, out_digits) if params else None,
+        **{k: format_complex(getattr(params, k), out_digits) if params else None for k in ("alpha", "xi", "eta", "d")},
         "A": format_complex(report.reduction.A, out_digits),
         "B": format_complex(report.reduction.B, out_digits),
         "s": format_complex(report.reduction.s, out_digits) if report.reduction.s is not None else None,
@@ -85,13 +82,10 @@ def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int, seed:
     }
     return {
         **_root_entries(report.roots, report.residuals, digits),
+        "radii": [format_complex(v, 10) for v in report.radii],
         "diagnostics": diag,
         "input": {
-            "m": format_complex(quintic.m, out_digits),
-            "n": format_complex(quintic.n, out_digits),
-            "p": format_complex(quintic.p, out_digits),
-            "q": format_complex(quintic.q, out_digits),
-            "r": format_complex(quintic.r, out_digits),
+            **{k: format_complex(v, out_digits) for k, v in zip("mnpqr", quintic.coeffs())},
             "digits": digits,
             "seed": seed,
         },
@@ -157,14 +151,7 @@ def cmd_verify(args) -> int:
     try:
         digits = int(payload["input"]["digits"])
         ctx = PrecisionCtx(digits=digits)
-        quintic = MonicQuintic.make(
-            ctx,
-            payload["input"]["m"],
-            payload["input"]["n"],
-            payload["input"]["p"],
-            payload["input"]["q"],
-            payload["input"]["r"],
-        )
+        quintic = MonicQuintic.make(ctx, *(payload["input"][k] for k in "mnpqr"))
         roots = [
             ctx.mp.mpc(parse_complex(x["re"], ctx).real, parse_complex(x["im"], ctx).real)
             for x in payload["roots"]
@@ -172,30 +159,18 @@ def cmd_verify(args) -> int:
     except (KeyError, TypeError, ParseError) as exc:
         print(f"error: malformed report: {exc!r}", file=sys.stderr)
         return 1
+    if len(roots) != 5:
+        print(f"error: malformed report: {len(roots)} roots", file=sys.stderr)
+        return 1
 
-    # the report carries digits - 15 digits; rounding a root of magnitude R
-    # moves the residual by about |Q'| * ulp ~ scale * R^5 * 10^-(digits-15)
-    scale = quintic.scale(ctx)
-    big = max(max(abs(x) for x in roots), ctx.mpf(1))
-    tol = ctx.pow10(-(digits - 15) + 5) * scale * big**5
-    failures = []
-    for k, x in enumerate(roots, start=1):
-        res = abs(quintic.eval(x, ctx))
-        if res > tol:
-            failures.append(f"root r{k} residual {ctx.mp.nstr(res, 5)} exceeds {ctx.mp.nstr(tol, 5)}")
-    total = sum(roots, ctx.mp.mpc(0))
-    prod = ctx.mp.mpc(1)
-    for x in roots:
-        prod *= x
-    if abs(total + quintic.m) > tol:
-        failures.append("Vieta sum check failed")
-    if abs(prod + quintic.r) > tol:
-        failures.append("Vieta product check failed")
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
+    # the solver's certificate, at the digits the report carries
+    try:
+        _, radii = inclusion_radii(quintic, roots, ctx, _out_digits(digits))
+    except QuinticError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
         return 2
-    print(f"report verified: 5 roots, residuals and Vieta identities hold at {digits - 15} digits")
+    worst = ctx.mp.nstr(max(radii), 3)
+    print(f"report verified: 5 roots, worst inclusion radius {worst} at {_out_digits(digits)} digits")
     return 0
 
 

@@ -4,8 +4,9 @@ The end-to-end path: reduce the quintic to y^5 + A*y + B, solve the Bring
 form for one value y, solve the quartic substitution
 x^4 + d*x^3 + c*x^2 + b*x + (a + y) = 0 with Ferrari's method, keep the one
 quartic root that also satisfies the quintic, deflate it out, and Ferrari
-the remaining quartic for the other four roots.  Every returned report is
-residual- and Vieta-verified; failures escalate precision before erroring.
+the remaining quartic for the other four roots.  Every returned root is
+certified by its Weierstrass inclusion radius; failures escalate precision
+before erroring.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     StageError,
 )
 from .mpfield import PrecisionCtx, pow_rational, sqrt_principal
+from .polyring import negligible, root_scale, value_terms
 from .tschirnhaus import BringReduction, MonicQuintic, reduce_to_bring
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "ferrari_roots",
     "select_quintic_root",
     "deflate_quintic",
+    "inclusion_radii",
     "solve_quintic",
 ]
 
@@ -52,16 +55,14 @@ class QuarticCoeffs:
         x = ctx.convert(x)
         return (((x + self.p3) * x + self.p2) * x + self.p1) * x + self.p0
 
-    def scale(self, ctx):
-        return max(ctx.mpf(1), abs(self.p3), abs(self.p2), abs(self.p1), abs(self.p0))
-
 
 @dataclass(frozen=True)
 class RootReport:
-    """Five verified roots plus the evidence used to produce them."""
+    """Five certified roots plus the evidence used to produce them."""
 
     roots: tuple
     residuals: tuple
+    radii: tuple  # inclusion radii, one error bound per root
     bring: BringSolution
     reduction: BringReduction
     candidate_residuals: tuple
@@ -78,30 +79,25 @@ def cardano_roots(c3, c2, c1, c0, ctx: PrecisionCtx):
     """
     mp = ctx.mp
     c3, c2, c1, c0 = (ctx.convert(v) for v in (c3, c2, c1, c0))
-    scale = max(ctx.mpf(1), abs(c3), abs(c2), abs(c1), abs(c0))
-    if abs(c3) <= ctx.pow10(-(ctx.digits // 2)) * scale:
-        raise DegenerateCubic("leading coefficient vanished")
+    # only zero is negligible against itself; callers drop a leading
+    # coefficient that vanished against its terms (the resolvent is monic)
+    if c3 == 0:
+        raise DegenerateCubic("leading coefficient is zero")
 
-    rad = (
-        4 * c1**3 * c3
-        - c1**2 * c2**2
-        - 18 * c1 * c2 * c3 * c0
-        + 27 * c0**2 * c3**2
-        + 4 * c0 * c2**3
-    )
+    tol = ctx.pow10(-ctx.digits)
+    rad_terms = (4 * c1**3 * c3, c1**2 * c2**2, 18 * c1 * c2 * c3 * c0, 27 * c0**2 * c3**2, 4 * c0 * c2**3)
+    rad = rad_terms[0] - rad_terms[1] - rad_terms[2] + rad_terms[3] + rad_terms[4]
     sq3 = mp.sqrt(mp.mpf(3))
-    core = 36 * c1 * c2 * c3 - 108 * c0 * c3**2 - 8 * c2**3
+    core_terms = (36 * c1 * c2 * c3, 108 * c0 * c3**2, 8 * c2**3)
+    core = core_terms[0] - core_terms[1] - core_terms[2]
     wing = 12 * sq3 * sqrt_principal(rad, ctx) * c3
-    if abs(rad) <= ctx.pow10(-ctx.digits) * scale**4 and abs(core) <= ctx.pow10(
-        -ctx.digits
-    ) * scale**3:
+    if negligible(rad, rad_terms, tol) and negligible(core, core_terms, tol):
         triple = -c2 / (3 * c3)  # discriminant and depressed cube both vanished
         return [triple, triple, triple]
-    gscale = max(ctx.mpf(1), abs(core), abs(wing))
     big = core + wing
-    if abs(big) <= ctx.pow10(-ctx.digits) * gscale:
+    if negligible(big, (core, wing), tol):
         big = core - wing  # the other square-root sign avoids the cancellation
-        if abs(big) <= ctx.pow10(-ctx.digits) * gscale:
+        if negligible(big, (core, wing), tol):
             raise CancellationFailure("both cube-root arguments underflowed")
 
     cr = pow_rational(big, 1, 3, ctx)
@@ -120,7 +116,8 @@ def ferrari_roots(quartic: QuarticCoeffs, ctx: PrecisionCtx):
     The quartic splits as (x^2 + (p3/2)x + g)^2 - (e*x + f)^2 where g is a
     resolvent root, e = sqrt(p3^2/4 + 2g - p2) and f = (p3*g - p1)/(2e); the
     degenerate e ~ 0 case uses f = sqrt(g^2 - p0).  Resolvent roots are tried
-    in cardano order until the four roots pass their residual check.
+    in cardano order until the quartic's values at the four roots are
+    negligible against its terms at its root scale.
     """
     mp = ctx.mp
     p3, p2, p1, p0 = (ctx.convert(v) for v in (quartic.p3, quartic.p2, quartic.p1, quartic.p0))
@@ -134,12 +131,13 @@ def ferrari_roots(quartic: QuarticCoeffs, ctx: PrecisionCtx):
     candidates = cardano_roots(ctx.mpc(1), r2, r1, r0, ctx)
 
     tol = ctx.pow10(-ctx.digits + 12)
-    qscale = q.scale(ctx)
-    best = None
-    best_worst = None
+    terms = value_terms((p3, p2, p1, p0), ctx)
+    e_tol = ctx.pow10(-2 * (ctx.digits // 2))  # e ~ 0 to half the digits, tested on e^2
+    worst = []
     for g in candidates:
-        e = sqrt_principal(p3 * p3 / 4 + 2 * g - p2, ctx)
-        if abs(e) <= ctx.pow10(-(ctx.digits // 2)) * max(ctx.mpf(1), abs(g)):
+        lift = p3 * p3 / 4 + 2 * g - p2
+        e = sqrt_principal(lift, ctx)
+        if negligible(lift, (p3 * p3 / 4, 2 * g, p2), e_tol):
             f = sqrt_principal(g * g - p0, ctx)
         else:
             f = (p3 * g - p1) / (2 * e)
@@ -151,33 +149,29 @@ def ferrari_roots(quartic: QuarticCoeffs, ctx: PrecisionCtx):
             -p3 / 4 - e / 2 + s2 / 4,
             -p3 / 4 - e / 2 - s2 / 4,
         ]
-        # residuals relative to the size of the terms of q(r)
-        worst = max(abs(q.eval(r, ctx)) / (qscale * max(ctx.mpf(1), abs(r)) ** 4) for r in roots)
-        if best_worst is None or worst < best_worst:
-            best, best_worst = roots, worst
-        if worst <= tol:
+        worst.append(max(abs(q.eval(r, ctx)) for r in roots))
+        if negligible(worst[-1], terms, tol):
             return roots
-    raise ResolventFailure(
-        f"no resolvent root factored the quartic; best residual {mp.nstr(best_worst, 5)}"
-    )
+    shown = ", ".join(mp.nstr(v, 5) for v in worst)
+    raise ResolventFailure(f"no resolvent root factored the quartic: residuals {shown}, terms {mp.nstr(sum(terms), 5)}")
 
 
 def select_quintic_root(quintic: MonicQuintic, candidates, ctx: PrecisionCtx):
     """Pick the quartic root that also satisfies the quintic.
 
-    Returns (root, index, residuals).  The winner must beat the runner-up by
-    a factor 10^(digits/4); anything less is reported as ambiguous rather
-    than silently guessed.
+    Returns (root, index, residuals).  The winner's residual must be
+    negligible against the quintic's terms at its root scale, and beat the
+    runner-up by a factor 10^(digits/4); anything less is reported as
+    ambiguous rather than silently guessed.
     """
     mp = ctx.mp
     residuals = [abs(quintic.eval(cand, ctx)) for cand in candidates]
-    scale = quintic.scale(ctx)
     low = min(residuals)
     winner = min(i for i, res in enumerate(residuals) if res <= 10 * low)
     others = [res for i, res in enumerate(residuals) if i != winner]
     runner_up = min(others)
     win_res = residuals[winner]
-    ok_abs = win_res <= ctx.pow10(-(ctx.digits // 2)) * scale
+    ok_abs = negligible(win_res, value_terms(quintic.coeffs(), ctx), ctx.pow10(-(ctx.digits // 2)))
     ok_sep = win_res * ctx.pow10(ctx.digits // 4) <= runner_up
     if not (ok_abs and ok_sep):
         raise AmbiguousSelection(
@@ -197,8 +191,7 @@ def deflate_quintic(quintic: MonicQuintic, r1, ctx: PrecisionCtx) -> QuarticCoef
     """
     m, n, p, q, r = (ctx.convert(v) for v in quintic.coeffs())
     r1 = ctx.convert(r1)
-    scale = quintic.scale(ctx)
-    if abs(quintic.eval(r1, ctx)) > ctx.pow10(-(ctx.digits // 2)) * scale:
+    if not negligible(quintic.eval(r1, ctx), value_terms(quintic.coeffs(), ctx), ctx.pow10(-(ctx.digits // 2))):
         raise NotARoot("deflate_quintic called with a non-root")
     dd = m + r1
     cc = n + r1 * r1 + m * r1
@@ -217,19 +210,28 @@ def _fifth_roots(value, ctx):
     return out
 
 
-def _verify(quintic: MonicQuintic, roots, ctx, digits):
-    residuals = tuple(abs(quintic.eval(x, ctx)) for x in roots)
-    scale = quintic.scale(ctx)
-    tol = ctx.pow10(-(digits // 2)) * scale
-    if max(residuals) > tol:
-        raise PrecisionExhausted(f"root residuals exceed tolerance {ctx.mp.nstr(tol, 3)}")
-    total = sum(roots, ctx.mpc(0))
-    prod = ctx.mpc(1)
-    for x in roots:
-        prod = prod * x
-    if abs(total + quintic.m) > tol or abs(prod + quintic.r) > tol:
-        raise PrecisionExhausted("Vieta identities violated")
-    return residuals
+def inclusion_radii(quintic: MonicQuintic, roots, ctx: PrecisionCtx, digits: int):
+    """Residuals |Q(z_i)| and inclusion radii r_i = 5 |Q(z_i)| / |prod_{j != i} (z_i - z_j)|.
+
+    The disks D(z_i, r_i) cover the roots, and a connected group of k of
+    them holds exactly k (Carstensen, Numer. Math. 59, 1991), so r_i bounds
+    the error of z_i.  Raises PrecisionExhausted unless every
+    r_i <= 10^(-digits/2) * max(|z_i|, 10^(-digits/2) * R), R the root scale.
+    """
+    mp = ctx.mp
+    residuals = tuple(abs(quintic.eval(z, ctx)) for z in roots)
+    half = ctx.pow10(-(digits // 2))
+    floor = half * root_scale(quintic.coeffs(), ctx)
+    radii = []
+    for i, z in enumerate(roots):
+        gap = mp.fprod(abs(z - w) for j, w in enumerate(roots) if j != i)
+        radii.append(5 * residuals[i] / gap if gap else mp.inf)
+        if radii[i] > half * max(abs(z), floor):
+            raise PrecisionExhausted(
+                f"root r{i + 1}: inclusion radius {mp.nstr(radii[i], 3)} (residual "
+                f"{mp.nstr(residuals[i], 3)}) leaves fewer than {digits // 2} correct digits"
+            )
+    return residuals, tuple(radii)
 
 
 def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int, strategy: str) -> RootReport:
@@ -274,7 +276,7 @@ def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int, strate
             roots = tuple(x - reduction.shift for x in [r1, *rest])
 
         stage = "verify"
-        residuals = _verify(base, roots, ctx, base_digits)
+        residuals, radii = inclusion_radii(base, roots, ctx, base_digits)
     except (PrecisionExhausted, AmbiguousSelection, NearBranchPoint):
         raise
     except QuinticError as exc:
@@ -282,6 +284,7 @@ def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int, strate
     return RootReport(
         roots=roots,
         residuals=residuals,
+        radii=radii,
         bring=bring_sol,
         reduction=reduction,
         candidate_residuals=tuple(cand_res),
@@ -290,15 +293,16 @@ def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int, strate
 
 
 def solve_quintic(quintic: MonicQuintic, ctx: PrecisionCtx, strategy: str = "auto") -> RootReport:
-    """All five roots of a monic quintic, in closed form, verified.
+    """All five roots of a monic quintic, in closed form, certified.
 
     Orchestrates reduction -> Bring root -> Ferrari -> selection ->
-    deflation -> Ferrari, un-shifts if the reduction pre-shifted, and checks
-    residuals and Vieta identities before returning.  This is the solver's
-    only precision ladder: a failed vanishing or verification check, an
-    ambiguous selection or a Bring parameter on a branch point retries the
-    whole solve at 2x then 4x precision; structural failures propagate
-    wrapped with their pipeline stage.
+    deflation -> Ferrari, un-shifts if the reduction pre-shifted, and
+    certifies every root by its inclusion radius before returning.  This is
+    the solver's only precision ladder: a failed vanishing check, a root
+    whose radius exceeds half the digits, an ambiguous selection or a Bring
+    parameter on a branch point retries the whole solve at 2x then 4x
+    precision; structural failures propagate wrapped with their pipeline
+    stage.
     """
     last = None
     for factor in (1, 2, 4):

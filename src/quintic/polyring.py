@@ -1,8 +1,9 @@
 """Dense univariate polynomial arithmetic over AppComplex.
 
 Provides Horner evaluation, 5x5 determinants of matrices whose entries are
-degree<=1 polynomials (the reduction's certificate det(y*I + M_T)) and
-synthetic-division deflation.
+degree<=1 polynomials (the reduction's certificate det(y*I + M_T)),
+synthetic-division deflation, and the solver's one vanishing test with the
+root scale it weighs polynomial values at.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from mpmath import libmp
 from .errors import NotARoot
 from .mpfield import PrecisionCtx
 
-__all__ = ["Poly", "PolyMatrix5", "eval_poly", "det5", "deflate"]
+__all__ = ["Poly", "PolyMatrix5", "eval_poly", "det5", "deflate", "negligible", "root_scale", "value_terms"]
 
 
 class Poly:
@@ -91,6 +92,32 @@ def eval_poly(poly: Poly, x, ctx: PrecisionCtx):
     for c in reversed(poly.coeffs):
         acc = acc * x + c
     return acc
+
+
+def negligible(value, terms, tol) -> bool:
+    """The solver's one vanishing test: |value| <= tol * sum |term|.
+
+    A computed sum carries rounding error in proportion to its terms, not to
+    its result, so each site passes the terms it summed, or weights bounding
+    them, instead of a scale of its own.
+    """
+    return abs(value) <= tol * sum(abs(t) for t in terms)
+
+
+def root_scale(coeffs, ctx: PrecisionCtx):
+    """R = max |c_k|^(1/k) of x^n + c_1 x^(n-1) + ... + c_n: every root lies within 2R."""
+    return max(ctx.mp.root(abs(c), k) for k, c in enumerate(coeffs, start=1))
+
+
+def value_terms(coeffs, ctx: PrecisionCtx):
+    """Magnitudes of the terms of x^n + c_1 x^(n-1) + ... + c_n at |x| = R, its root scale.
+
+    Values are weighed at R, not at |z| as a backward error is: a root is
+    computed to an error proportional to R whatever its own size, and at |z|
+    the zero root of x^5 - x, computed as about 1e-68, has backward error 1.
+    """
+    radius, n = root_scale(coeffs, ctx), len(coeffs)
+    return [radius**n] + [abs(c) * radius ** (n - k) for k, c in enumerate(coeffs, start=1)]
 
 
 _RAW_ZERO = (libmp.fzero, libmp.fzero)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateLeading, PrecisionExhausted, ShiftLadderExhausted
 from .mpfield import PrecisionCtx, pow_rational, sqrt_principal
-from .polyring import Poly, PolyMatrix5, det5
+from .polyring import Poly, PolyMatrix5, det5, negligible, root_scale
 
 __all__ = [
     "MonicQuintic",
@@ -72,9 +72,6 @@ class MonicQuintic:
     def eval(self, x, ctx: PrecisionCtx):
         x = ctx.convert(x)
         return ((((x + self.m) * x + self.n) * x + self.p) * x + self.q) * x + self.r
-
-    def scale(self, ctx: PrecisionCtx):
-        return max(ctx.mpf(1), *(abs(v) for v in self.coeffs()))
 
     def conjugate(self, ctx: PrecisionCtx) -> "MonicQuintic":
         mp = ctx.mp
@@ -193,7 +190,7 @@ class TraceForms:
         quintic = quintic.rebind(ctx)
         self.ctx = ctx
         self.sums = _power_sums(quintic, ctx, 12)
-        self.rscale = _root_scale(quintic, ctx)
+        self.rscale = root_scale(quintic.coeffs(), ctx)
 
     def trace(self, *vectors):
         """Tr(U_1(x) * ... * U_k(x)) summed over the quintic's roots."""
@@ -224,6 +221,11 @@ class TraceForms:
         """
         return sum(abs(v) * self.rscale ** (j + 1) for j, v in enumerate(u))
 
+    def weights(self, u, w, degree):
+        """Weight of each coefficient, in t, of a degree-``degree`` form at u + t*w."""
+        wu, ww = self.weight(u), self.weight(w)
+        return [wu ** (degree - k) * ww**k for k in range(degree + 1)]
+
     def a(self, b, c, d):
         """The a making Tr T, and with it the y^4 coefficient, vanish."""
         return -self.trace((b, c, d, 1)) / 5
@@ -236,8 +238,7 @@ class TraceForms:
         """
         f = (0, 1, 1, 0)
         coeffs = [-self.g(f, f) / 2, -self.g(_E1, f), -self.g(_E1, _E1) / 2]
-        ref = self.weight(f) ** 2
-        return _root_of_sampled_poly(coeffs, self.ctx, -1, 0, "alpha quadratic", ref=ref)
+        return _form_root(coeffs, self.weights(f, _E1, 2), self.ctx, -1, 0, "alpha quadratic")
 
     def eta_xi(self, alpha):
         """(eta, xi) making the y^3 coefficient vanish identically in d.
@@ -249,13 +250,16 @@ class TraceForms:
         w1 = (alpha, 1, 1, 0)
         # d^1 part -g(w0, w1) with w0 = (xi, eta, 0, 1): u0 + u_eta*eta + u_xi*xi
         u0, u_eta, u_xi = (-self.g(e, w1) for e in (_E4, _E2, _E1))
-        floor = ctx.pow10(-(ctx.digits // 2)) * self.weight(w1) * self.weight(_E4)
+        tol, ww = ctx.pow10(-(ctx.digits // 2)), self.weight(w1)
+        zero_0, zero_eta, zero_xi = (
+            negligible(u, [self.weight(e) * ww], tol) for u, e in ((u0, _E4), (u_eta, _E2), (u_xi, _E1))
+        )
         # the solution line (eta, xi) = origin + t*step
-        if abs(u_eta) > floor:  # eta eliminated; t is xi
+        if not zero_eta:  # eta eliminated; t is xi
             origin, step = (-u0 / u_eta, 0), (-u_xi / u_eta, 1)
-        elif abs(u_xi) > floor:  # xi eliminated instead; t is eta
+        elif not zero_xi:  # xi eliminated instead; t is eta
             origin, step = (0, -u0 / u_xi), (1, -u_eta / u_xi)
-        elif abs(u0) <= floor:  # d^1 part already vanishes identically; pin eta = 0
+        elif zero_0:  # d^1 part already vanishes identically; pin eta = 0
             origin, step = (0, 0), (0, 1)
         else:
             raise DegenerateLeading("d^1 part of the y^3 coefficient is a nonzero constant")
@@ -264,8 +268,7 @@ class TraceForms:
         z0 = (origin[1], origin[0], 0, 1)
         z1 = (step[1], step[0], 0, 0)
         coeffs = [-self.g(z0, z0) / 2, -self.g(z0, z1), -self.g(z1, z1) / 2]
-        ref = max(self.weight(z0), self.weight(z1)) ** 2
-        t = _root_of_sampled_poly(coeffs, ctx, _XI_BRANCH, 0, "xi quadratic", ref=ref)
+        t = _form_root(coeffs, self.weights(z0, z1, 2), ctx, _XI_BRANCH, 0, "xi quadratic")
         return origin[0] + t * step[0], origin[1] + t * step[1]
 
     def d(self, alpha, eta, xi):
@@ -275,26 +278,24 @@ class TraceForms:
         w1 = (alpha, 1, 1, 0)
         h = self.h
         coeffs = [h(w0, w0, w0) / 3, h(w0, w0, w1), h(w0, w1, w1), h(w1, w1, w1) / 3]
-        ref = max(self.weight(w0), self.weight(w1)) ** 3
-        return _root_of_sampled_poly(coeffs, self.ctx, -1, _D_INDEX, "d cubic", ref=ref)
+        return _form_root(coeffs, self.weights(w0, w1, 3), self.ctx, -1, _D_INDEX, "d cubic")
 
 
-def _root_of_sampled_poly(coeffs, ctx, branch, cardano_index, what, ref=1):
-    """Deterministic root of a polynomial, degrading degree gracefully.
+def _form_root(coeffs, weights, ctx, branch, cardano_index, what):
+    """Deterministic root of a form polynomial, degrading degree gracefully.
 
-    ``coeffs`` is [c0, c1, ..., ck] lowest power first.  Leading coefficients
-    that vanish relative to their own scale (or to the reference scale of
-    the terms they were summed from) are dropped: the equation is still
-    solvable as long as anything nonzero is left in front of the constant
-    term.
+    ``coeffs`` is [c0, c1, ..., ck] lowest power first, and ``weights[k]``
+    bounds the terms that ``coeffs[k]`` was summed from.  Leading
+    coefficients negligible against their own weight are dropped: the
+    equation is still solvable as long as anything nonzero is left in front
+    of the constant term.
     """
-    scale = max(ctx.mpf(1) * ref, *(abs(v) for v in coeffs))
-    tol = ctx.pow10(-(ctx.digits // 2)) * scale
+    tol = ctx.pow10(-(ctx.digits // 2))
     live = len(coeffs) - 1
-    while live > 0 and abs(coeffs[live]) <= tol:
+    while live > 0 and negligible(coeffs[live], [weights[live]], tol):
         live -= 1
     if live == 0:
-        if abs(coeffs[0]) <= tol:
+        if negligible(coeffs[0], [weights[0]], tol):
             return ctx.mpc(0)  # identically zero: any value works
         raise DegenerateLeading(f"{what}: every coefficient above the constant vanished")
     if live == 1:
@@ -318,19 +319,6 @@ def _depressed(quintic: MonicQuintic, ctx: PrecisionCtx):
     """Shift removing the x^4 term; returns (depressed quintic, shift t)."""
     t = quintic.m / 5
     return quintic.shifted(t, ctx), t
-
-
-def _root_scale(quintic: MonicQuintic, ctx: PrecisionCtx):
-    """Cauchy-style bound on root magnitude, used to weigh coefficient slots."""
-    mp = ctx.mp
-    return max(
-        ctx.mpf(1),
-        abs(quintic.m),
-        mp.sqrt(abs(quintic.n)),
-        mp.root(abs(quintic.p), 3),
-        mp.root(abs(quintic.q), 4),
-        mp.root(abs(quintic.r), 5),
-    )
 
 
 def _attempt(quintic: MonicQuintic, ctx: PrecisionCtx):
@@ -371,15 +359,12 @@ def reduce_to_bring(quintic: MonicQuintic, ctx: PrecisionCtx) -> BringReduction:
     base = quintic.rebind(ctx)
 
     # a shifted pure power never admits the elimination: 2m^2-5n is shift
-    # invariant and the alpha equation becomes 0 = nonzero
+    # invariant and the alpha equation becomes 0 = nonzero.  Its depressed
+    # coefficients vanish, each against R^k for the degree 5 - k it sits at.
     dep, tdep = _depressed(base, ctx)
-    rscale = _root_scale(base, ctx)
+    rscale = root_scale(base.coeffs(), ctx)
     dtol = ctx.pow10(-ctx.digits + 10)
-    if (
-        abs(dep.n) <= dtol * rscale**2
-        and abs(dep.p) <= dtol * rscale**3
-        and abs(dep.q) <= dtol * rscale**4
-    ):
+    if all(negligible(c, [rscale**k], dtol) for k, c in ((2, dep.n), (3, dep.p), (4, dep.q))):
         return BringReduction(
             A=ctx.mpc(0),
             B=dep.r,

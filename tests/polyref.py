@@ -1,10 +1,11 @@
 """Reference polynomial arithmetic, guarded interpolation and the paper's matrix.
 
-The solver itself never adds, multiplies or fits polynomials; the tests use
-these to build independent oracles (the 120-permutation determinant, the
-multiply-back check of deflation, the determinant sampled at integer
-nodes and interpolated with a degree guard, and the paper's transcribed
-elimination matrix that the solver's certificate is checked against).
+The solver itself never adds, multiplies or fits polynomials, nor weighs by
+the coefficient scale max(1, |c|); the tests use these to build independent
+oracles (the 120-permutation determinant, the multiply-back check of
+deflation, the determinant sampled at integer nodes and interpolated with a
+degree guard, and the paper's transcribed elimination matrix that the
+solver's certificate is checked against).
 """
 
 from quintic.errors import QuinticError
@@ -94,6 +95,11 @@ def fit_coeffs(samples, expected_degree: int, ctx, scale=None):
             f"{ctx.mp.nstr(abs(predicted - guard_v), 5)} vs scale {ctx.mp.nstr(scale, 5)}"
         )
     return coeffs
+
+
+def quintic_scale(quintic, ctx):
+    """max(1, |m|, |n|, |p|, |q|, |r|): the coefficient scale the property tests weigh by."""
+    return max(ctx.mpf(1), *(abs(v) for v in quintic.coeffs()))
 
 
 def paper_elimination_matrix(quintic, a, b, c, d, ctx) -> PolyMatrix5:

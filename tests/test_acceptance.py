@@ -27,6 +27,7 @@ from golden import (
     GOLDEN_ROOTS,
     GOLDEN_S,
 )
+from polyref import quintic_scale
 
 POPULATION_SEED = 20260808
 POPULATION_SIZE = 300
@@ -226,7 +227,7 @@ def test_c9_property_suite():
     for _ in range(100):
         quintic = _random_quintic(rng, ctx, magnitude=10.0)
         report = solve_quintic(quintic, ctx)
-        scale = quintic.scale(ctx)
+        scale = quintic_scale(quintic, ctx)
 
         # Vieta identities
         total = sum(report.roots, ctx.mpc(0))

@@ -186,3 +186,19 @@ def test_flag_overrides_env(monkeypatch, capsys):
 def test_usage_error_exit_1(capsys):
     assert main(["solve", "--m=1"]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def test_radii_in_json_and_verify(tmp_path, capsys):
+    code, out, _ = run(capsys, GOLDEN_ARGS + ["--digits", "60", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    ctx = PrecisionCtx(digits=60)
+    assert len(payload["radii"]) == 5
+    for entry, radius in zip(payload["roots"], payload["radii"]):
+        root = abs(parse_complex(entry["re"], ctx) + parse_complex(entry["im"], ctx) * 1j)
+        assert parse_complex(radius, ctx).real <= ctx.pow10(-30) * root
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    code, out2, _ = run(capsys, ["verify", str(report)])
+    assert code == 0
+    assert "worst inclusion radius" in out2

@@ -12,7 +12,7 @@ from quintic.tschirnhaus import (
     _XI_BRANCH,
     MonicQuintic,
     TraceForms,
-    _root_of_sampled_poly,
+    _form_root,
     reduce_to_bring,
     transformed_poly,
 )
@@ -436,7 +436,7 @@ def _sampled_params(q, ctx):
         return coeffs
 
     d2 = [in_d(ctx.mpc(k), zero, zero, 3, 2)[2] for k in range(4)]
-    alpha = _root_of_sampled_poly(_fit(d2, 2, ref, ctx), ctx, -1, 0, "alpha", ref=ref)
+    alpha = _form_root(_fit(d2, 2, ref, ctx), [ref] * 3, ctx, -1, 0, "alpha")
 
     u0, u_eta, u_xi, u11 = (
         in_d(alpha, ctx.mpc(eta), ctx.mpc(xi), 3, 2)[1] for eta, xi in ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -453,10 +453,10 @@ def _sampled_params(q, ctx):
     polys = [_sampled_poly(q, alpha, *pair(ctx.mpc(k)), zero, ctx) for k in range(4)]
     ref = max(ref, _scale(polys))
     s = _fit([p.coeff(3) for p in polys], 2, ref, ctx)
-    eta, xi = pair(_root_of_sampled_poly(s, ctx, _XI_BRANCH, 0, "xi", ref=ref))
+    eta, xi = pair(_form_root(s, [ref] * 3, ctx, _XI_BRANCH, 0, "xi"))
 
     t = in_d(alpha, eta, xi, 2, 3)
-    d = _root_of_sampled_poly(t, ctx, -1, _D_INDEX, "d", ref=ref)
+    d = _form_root(t, [ref] * 4, ctx, -1, _D_INDEX, "d")
     return alpha, eta, xi, d
 
 
