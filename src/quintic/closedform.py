@@ -186,8 +186,8 @@ def deflate_quintic(quintic: MonicQuintic, r1, ctx: PrecisionCtx) -> QuarticCoef
     """Factor out a known root: the quartic left after dividing by (x - r1).
 
     Uses the direct coefficient formulas, after checking that r1 is a root
-    to half the working digits; ``polyring.deflate`` is the synthetic-division
-    reference the tests compare them with.
+    to half the working digits; the tests compare them with a
+    synthetic-division reference.
     """
     m, n, p, q, r = (ctx.convert(v) for v in quintic.coeffs())
     r1 = ctx.convert(r1)

@@ -92,7 +92,8 @@ def _float_estimates(coeffs, starts):
 def aberth_solve(poly: Poly, ctx: PrecisionCtx):
     """All roots of poly by simultaneous Aberth-Ehrlich iteration.
 
-    Deterministic given (poly, ctx).  The circle of radius 1 + max|coeff|
+    Deterministic given (poly, ctx).  The circle of radius
+    2 * max_k |c_{n-k} / c_n|^(1/k), Fujiwara's bound on the roots' moduli,
     with a seed-derived angular offset seeds a float phase of the same
     iteration, which stops near double precision or after a fixed number of
     rounds.  The full-precision loop then starts from the float estimates,
@@ -114,7 +115,7 @@ def aberth_solve(poly: Poly, ctx: PrecisionCtx):
     coeffs = [ctx.convert(c) for c in poly.coeffs]
     dcoeffs = [k * coeffs[k] for k in range(1, deg + 1)]
 
-    radius = 1 + max(abs(c) for c in coeffs)
+    radius = 2 * max(mp.root(abs(coeffs[deg - k] / coeffs[deg]), k) for k in range(1, deg + 1))
     _, word = _splitmix64(ctx.seed & 0xFFFFFFFFFFFFFFFF)
     offset = mp.mpf(word) / mp.mpf(2**64)
     pi2 = 2 * mp.pi

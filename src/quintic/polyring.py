@@ -1,19 +1,16 @@
-"""Dense univariate polynomial arithmetic over AppComplex.
+"""Dense univariate polynomials over AppComplex.
 
-Provides Horner evaluation, 5x5 determinants of matrices whose entries are
-degree<=1 polynomials (the reduction's certificate det(y*I + M_T)),
-synthetic-division deflation, and the solver's one vanishing test with the
-root scale it weighs polynomial values at.
+Provides the 5x5 determinant of a matrix whose entries are degree<=1
+polynomials (the reduction's certificate det(y*I + M_T)), computed in the
+context's own arithmetic, and the solver's one vanishing test with the root
+scale it weighs polynomial values at.
 """
 
 from __future__ import annotations
 
-from mpmath import libmp
-
-from .errors import NotARoot
 from .mpfield import PrecisionCtx
 
-__all__ = ["Poly", "PolyMatrix5", "eval_poly", "det5", "deflate", "negligible", "root_scale", "value_terms"]
+__all__ = ["Poly", "PolyMatrix5", "det5", "negligible", "root_scale", "value_terms"]
 
 
 class Poly:
@@ -42,26 +39,6 @@ class Poly:
     def coeff(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def max_coeff_mag(self):
-        return max((abs(v) for v in self.coeffs), default=0)
-
-    @staticmethod
-    def from_roots(roots, ctx: PrecisionCtx) -> "Poly":
-        """Monic polynomial with the given roots."""
-        p = [ctx.mpc(1)]
-        for r in roots:
-            r = ctx.convert(r)
-            p = [0] + p
-            for i in range(len(p) - 1):
-                p[i] = p[i] - r * p[i + 1]
-        return Poly(p)
-
     def __repr__(self):
         return f"Poly(degree={self.degree})"
 
@@ -83,15 +60,6 @@ class PolyMatrix5:
 
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix5 is immutable")
-
-
-def eval_poly(poly: Poly, x, ctx: PrecisionCtx):
-    """Horner evaluation of poly at x."""
-    x = ctx.convert(x)
-    acc = ctx.mpc(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def negligible(value, terms, tol) -> bool:
@@ -120,101 +88,41 @@ def value_terms(coeffs, ctx: PrecisionCtx):
     return [radius**n] + [abs(c) * radius ** (n - k) for k, c in enumerate(coeffs, start=1)]
 
 
-_RAW_ZERO = (libmp.fzero, libmp.fzero)
-
-
-def _raw(value, ctx):
-    """Raw (re, im) mantissa pair of an AppComplex-ish value."""
-    z = ctx.convert(value)
-    if hasattr(z, "_mpc_"):
-        return z._mpc_
-    return (z._mpf_, libmp.fzero)
-
-
-def _raw_neg(z):
-    return (libmp.mpf_neg(z[0]), libmp.mpf_neg(z[1]))
-
-
-def _raw_mul_linear(lin, p, prec):
-    """(lin0 + lin1*x) * p on raw coefficient lists; p may be empty."""
-    if not p:
-        return []
-    l0, l1 = lin
-    mul = libmp.mpc_mul
-    add = libmp.mpc_add
-    if l0 == _RAW_ZERO:
-        out = [_RAW_ZERO] * len(p) + [_RAW_ZERO]
-    else:
-        out = [mul(l0, v, prec) for v in p] + [_RAW_ZERO]
-    if l1 != _RAW_ZERO:
-        for i, v in enumerate(p):
-            out[i + 1] = add(out[i + 1], mul(l1, v, prec), prec)
-    while out and out[-1] == _RAW_ZERO:
-        out.pop()
-    return out
-
-
 def det5(matrix: PolyMatrix5, ctx: PrecisionCtx) -> Poly:
     """Determinant of a 5x5 matrix of degree<=1 polynomials.
 
-    Laplace expansion with minors shared across column subsets (bitmask
-    dynamic programming), evaluated on raw mantissa pairs for speed; not
-    normalized, the caller owns sign/leading coefficient conventions.
+    Laplace expansion along the rows with minors shared across column subsets
+    (bitmask dynamic programming), in the context's own arithmetic, which
+    rounds to nearest like the rest of the solver; not normalized, the
+    caller owns sign/leading coefficient conventions.
     """
-    prec = ctx.mp.prec
-    add = libmp.mpc_add
-    rows = [
-        [(_raw(e.coeff(0), ctx), _raw(e.coeff(1), ctx)) for e in row]
-        for row in matrix.entries
-    ]
+    mpc = ctx.mp.mpc
+    rows = [[(mpc(e.coeff(0)), mpc(e.coeff(1))) for e in row] for row in matrix.entries]
 
-    # minors[mask] = det of rows r..4 over the columns in mask
-    minors = {}
-    for c in range(5):
-        e0, e1 = rows[4][c]
-        lst = [e0, e1]
-        while lst and lst[-1] == _RAW_ZERO:
-            lst.pop()
-        minors[1 << c] = lst
+    # minors[mask] = coefficients of the det of rows r..4 over the columns in mask
+    minors = {1 << c: list(rows[4][c]) for c in range(5)}
     for r in range(3, -1, -1):
         nxt = {}
-        width = 5 - r
         for mask in range(32):
-            if bin(mask).count("1") != width:
+            if bin(mask).count("1") != 5 - r:
                 continue
-            acc = []
+            acc = [0] * (6 - r)
             sign = 1
             for c in range(5):
                 bit = 1 << c
                 if not mask & bit:
                     continue
-                term = _raw_mul_linear(rows[r][c], minors[mask ^ bit], prec)
-                if sign < 0:
-                    term = [_raw_neg(v) for v in term]
-                if len(acc) < len(term):
-                    acc += [_RAW_ZERO] * (len(term) - len(acc))
-                for i, v in enumerate(term):
-                    acc[i] = add(acc[i], v, prec)
+                l0, l1 = rows[r][c]
+                minor = minors[mask ^ bit]
+                term = [l0 * v for v in minor] + [0]
+                if l1:
+                    for i, v in enumerate(minor):
+                        term[i + 1] += l1 * v
+                if sign > 0:
+                    acc = [u + v for u, v in zip(acc, term)]
+                else:
+                    acc = [u - v for u, v in zip(acc, term)]
                 sign = -sign
             nxt[mask] = acc
         minors = nxt
-    make = ctx.mp.make_mpc
-    return Poly([make(v) for v in minors[0b11111]])
-
-
-def deflate(poly: Poly, root, ctx: PrecisionCtx) -> Poly:
-    """Synthetic division by (x - root); the remainder must be negligible."""
-    root = ctx.convert(root)
-    scale = poly.max_coeff_mag()
-    if abs(eval_poly(poly, root, ctx)) > ctx.pow10(-(ctx.digits // 2)) * scale:
-        raise NotARoot(
-            f"|p(root)| = {ctx.mp.nstr(abs(eval_poly(poly, root, ctx)), 5)} "
-            f"exceeds deflation tolerance"
-        )
-    coeffs = poly.coeffs
-    out = [0] * (len(coeffs) - 1)
-    acc = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        out[k] = acc
-        acc = coeffs[k] + root * acc
-    return Poly(out)
+    return Poly(minors[0b11111])

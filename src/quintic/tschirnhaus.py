@@ -73,10 +73,6 @@ class MonicQuintic:
         x = ctx.convert(x)
         return ((((x + self.m) * x + self.n) * x + self.p) * x + self.q) * x + self.r
 
-    def conjugate(self, ctx: PrecisionCtx) -> "MonicQuintic":
-        mp = ctx.mp
-        return MonicQuintic(*(mp.conj(ctx.convert(v)) for v in self.coeffs()))
-
     def shifted(self, t, ctx: PrecisionCtx) -> "MonicQuintic":
         """Coefficients of Q(x - t); roots move to root + t."""
         t = ctx.convert(t)

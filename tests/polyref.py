@@ -1,15 +1,16 @@
 """Reference polynomial arithmetic, guarded interpolation and the paper's matrix.
 
-The solver itself never adds, multiplies or fits polynomials, nor weighs by
-the coefficient scale max(1, |c|); the tests use these to build independent
-oracles (the 120-permutation determinant, the multiply-back check of
-deflation, the determinant sampled at integer nodes and interpolated with a
-degree guard, and the paper's transcribed elimination matrix that the
-solver's certificate is checked against).
+The solver itself never adds, multiplies, evaluates, deflates or fits
+polynomials, nor weighs by the coefficient scale max(1, |c|); the tests use
+these to build independent oracles (the 120-permutation determinant, the
+multiply-back check of deflation, the determinant sampled at integer nodes
+and interpolated with a degree guard, and the paper's transcribed
+elimination matrix that the solver's certificate is checked against).
 """
 
-from quintic.errors import QuinticError
-from quintic.polyring import Poly, PolyMatrix5, eval_poly
+from quintic.errors import NotARoot, QuinticError
+from quintic.polyring import Poly, PolyMatrix5
+from quintic.tschirnhaus import MonicQuintic
 
 
 class DegreeGuardFailure(QuinticError):
@@ -47,6 +48,52 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
         for j, v in enumerate(b):
             out[i + j] = out[i + j] + u * v
     return Poly(out)
+
+
+def max_coeff_mag(p: Poly):
+    return max((abs(v) for v in p.coeffs), default=0)
+
+
+def poly_from_roots(roots, ctx) -> Poly:
+    """Monic polynomial with the given roots."""
+    p = [ctx.mpc(1)]
+    for r in roots:
+        r = ctx.convert(r)
+        p = [0] + p
+        for i in range(len(p) - 1):
+            p[i] = p[i] - r * p[i + 1]
+    return Poly(p)
+
+
+def eval_poly(poly: Poly, x, ctx):
+    """Horner evaluation of poly at x."""
+    x = ctx.convert(x)
+    acc = ctx.mpc(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def deflate(poly: Poly, root, ctx) -> Poly:
+    """Synthetic division by (x - root); the remainder must be negligible."""
+    root = ctx.convert(root)
+    if abs(eval_poly(poly, root, ctx)) > ctx.pow10(-(ctx.digits // 2)) * max_coeff_mag(poly):
+        raise NotARoot(
+            f"|p(root)| = {ctx.mp.nstr(abs(eval_poly(poly, root, ctx)), 5)} "
+            f"exceeds deflation tolerance"
+        )
+    coeffs = poly.coeffs
+    out = [0] * (len(coeffs) - 1)
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        out[k] = acc
+        acc = coeffs[k] + root * acc
+    return Poly(out)
+
+
+def conjugate_quintic(quintic: MonicQuintic, ctx) -> MonicQuintic:
+    """The quintic whose coefficients are the complex conjugates of quintic's."""
+    return MonicQuintic(*(ctx.mp.conj(ctx.convert(v)) for v in quintic.coeffs()))
 
 
 def fit_coeffs(samples, expected_degree: int, ctx, scale=None):

@@ -16,7 +16,6 @@ from quintic.cli import _random_quintic
 from quintic.closedform import deflate_quintic, solve_quintic
 from quintic.mpfield import PrecisionCtx, parse_complex
 from quintic.oracle import aberth_solve, match_rootsets
-from quintic.polyring import Poly, deflate as poly_deflate
 from quintic.tschirnhaus import MonicQuintic, reduce_to_bring
 
 from golden import (
@@ -27,7 +26,7 @@ from golden import (
     GOLDEN_ROOTS,
     GOLDEN_S,
 )
-from polyref import quintic_scale
+from polyref import conjugate_quintic, deflate as poly_deflate, poly_from_roots, quintic_scale
 
 POPULATION_SEED = 20260808
 POPULATION_SIZE = 300
@@ -166,7 +165,7 @@ def test_c6_trivial_root_suites():
         rng = random.Random(424242 + digits)
         for _ in range(50):
             exact = [ctx.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(5)]
-            poly = Poly.from_roots(exact, ctx)
+            poly = poly_from_roots(exact, ctx)
             quintic = MonicQuintic(poly.coeff(4), poly.coeff(3), poly.coeff(2), poly.coeff(1), poly.coeff(0))
             report = solve_quintic(quintic, ctx)
             dist = match_rootsets(report.roots, exact).max_distance
@@ -238,7 +237,7 @@ def test_c9_property_suite():
         assert abs(prod + quintic.r) <= tol * scale
 
         # conjugation equivariance
-        conj_roots = solve_quintic(quintic.conjugate(ctx), ctx).roots
+        conj_roots = solve_quintic(conjugate_quintic(quintic, ctx), ctx).roots
         assert match_rootsets([mp.conj(x) for x in report.roots], conj_roots).max_distance <= tol
 
         # shift coherence

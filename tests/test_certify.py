@@ -15,15 +15,16 @@ import pytest
 from quintic.closedform import inclusion_radii, solve_quintic
 from quintic.errors import PrecisionExhausted, QuinticError
 from quintic.mpfield import PrecisionCtx
-from quintic.polyring import Poly
 from quintic.tschirnhaus import MonicQuintic
+
+from polyref import poly_from_roots
 
 CTX = PrecisionCtx(digits=50)
 C = CTX.mpc
 
 
 def _quintic(roots, ctx=CTX):
-    c = Poly.from_roots(roots, ctx).coeffs
+    c = poly_from_roots(roots, ctx).coeffs
     return MonicQuintic(c[4], c[3], c[2], c[1], c[0])
 
 

@@ -3,9 +3,11 @@
 ``perfbench/spans.py`` wraps solver attributes by name, and ``Tracer.install``
 runs outside the benchmark's error handling, so a renamed or deleted
 attribute would break ``perfbench/run.py --trace 1``.  These tests only read
-``perfbench/``.
+``perfbench/``.  A source check also keeps the solver's arithmetic in its
+contexts: raw ``libmp`` calls take no rounding mode from the context.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -17,6 +19,7 @@ import pytest
 import quintic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "quintic"
 
 MODULES = ["quintic"] + [f"quintic.{info.name}" for info in pkgutil.iter_modules(quintic.__path__)]
 
@@ -45,3 +48,17 @@ def test_benchmark_wrapped_attributes_resolve(monkeypatch):
         f"{key}.{attr}" for _, key, attr in spans.WRAPPED if key not in targets or not hasattr(targets[key], attr)
     ]
     assert not missing, f"perfbench/spans.py wraps attributes that do not exist: {missing}"
+
+
+def test_no_raw_libmp_arithmetic():
+    """Only mpfield may touch mpmath.libmp, and only to format a number."""
+    uses = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "libmp":
+                uses.add((path.stem, node.attr))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None)
+                names = (f"{module}.{alias.name}" if module else alias.name for alias in node.names)
+                uses.update((path.stem, name) for name in names if "libmp" in name)
+    assert uses <= {("mpfield", "mpmath.libmp"), ("mpfield", "to_str")}, sorted(uses)

@@ -8,6 +8,7 @@ from quintic.oracle import _float_estimates, _splitmix64, aberth_solve, match_ro
 from quintic.polyring import Poly
 
 from golden import GOLDEN_COEFFS, GOLDEN_ROOTS
+from polyref import max_coeff_mag
 
 
 def circle_aberth(poly, ctx):
@@ -30,7 +31,7 @@ def circle_aberth(poly, ctx):
             dacc = dacc * x + c
         return acc, dacc
 
-    radius = 1 + max(abs(c) for c in coeffs)
+    radius = 2 * max(mp.root(abs(coeffs[deg - k] / coeffs[deg]), k) for k in range(1, deg + 1))
     _, word = _splitmix64(ctx.seed & 0xFFFFFFFFFFFFFFFF)
     offset = mp.mpf(word) / mp.mpf(2**64)
     pi2 = 2 * mp.pi
@@ -154,7 +155,7 @@ def test_residual_bound_many_random(ctx50):
             ctx50.mpc(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(5)
         ] + [ctx50.mpc(1)]
         poly = Poly(coeffs)
-        scale = max(1, poly.max_coeff_mag())
+        scale = max(1, max_coeff_mag(poly))
         for root in aberth_solve(poly, ctx50):
             res = abs(
                 ((((coeffs[5] * root + coeffs[4]) * root + coeffs[3]) * root + coeffs[2]) * root + coeffs[1]) * root
@@ -228,8 +229,7 @@ def test_float_seeded_degenerate_families_match(ctx50):
 
 def test_coefficient_past_float_range_starts_on_circle(ctx50):
     # 10^400 is no finite float, so the loop runs from the circle of radius
-    # about 10^400 alone.  A stop scaled by max(1, |coeff|) * |z|^5 accepts
-    # that circle itself; the backward-error stop must march in to the roots
+    # 2 * 10^80 alone; the backward-error stop must carry it in to the roots
     # 10^80 * w^k, w a primitive fifth root of unity
     mp = ctx50.mp
     poly = Poly([-ctx50.pow10(400), 0, 0, 0, 0, ctx50.mpc(1)])

@@ -5,9 +5,20 @@ import pytest
 
 from quintic.errors import NotARoot
 from quintic.mpfield import PrecisionCtx
-from quintic.polyring import Poly, PolyMatrix5, det5, deflate, eval_poly
+from quintic.polyring import Poly, PolyMatrix5, det5
 
-from polyref import DegreeGuardFailure, fit_coeffs, poly_add, poly_mul, poly_scale, poly_sub
+from polyref import (
+    DegreeGuardFailure,
+    deflate,
+    eval_poly,
+    fit_coeffs,
+    max_coeff_mag,
+    poly_add,
+    poly_from_roots,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+)
 
 
 def _const(ctx, v):
@@ -74,14 +85,30 @@ def test_det5_identity_and_diag_y(ctx50):
     assert all(d.coeff(k) == 0 for k in range(5))
 
 
+def test_det5_rounds_in_context_arithmetic(ctx50):
+    """A diagonal's determinant is its product, rounded as the context rounds.
+
+    The recursion multiplies up from the bottom row, so det5 must return
+    d0 * (d1 * (d2 * (d3 * d4))) bit for bit; full-precision entries make
+    every product inexact, so a different rounding mode shows.
+    """
+    mp = ctx50.mp
+    diag = [mp.mpc(mp.sqrt(k + 2), mp.cbrt(k + 3)) for k in range(5)]
+    m = PolyMatrix5([[Poly([diag[i]] if i == j else ()) for j in range(5)] for i in range(5)])
+    want = diag[4]
+    for d in reversed(diag[:4]):
+        want = d * want
+    assert det5(m, ctx50).coeffs == (want,)
+
+
 def test_det5_matches_permutation_oracle(ctx50, rng):
     for _ in range(10):
         m = PolyMatrix5([[_random_linear(rng, ctx50) for _ in range(5)] for _ in range(5)])
         fast = det5(m, ctx50)
         slow = det5_permutation_oracle(m, ctx50)
-        scale = max(slow.max_coeff_mag(), 1)
+        scale = max(max_coeff_mag(slow), 1)
         diff = poly_sub(fast, slow)
-        assert diff.max_coeff_mag() <= ctx50.pow10(-45) * scale
+        assert max_coeff_mag(diff) <= ctx50.pow10(-45) * scale
 
 
 def test_det5_row_scaling(ctx50, rng):
@@ -93,7 +120,7 @@ def test_det5_row_scaling(ctx50, rng):
     ms = PolyMatrix5(rows_scaled)
     lhs = det5(ms, ctx50)
     rhs = poly_scale(det5(m, ctx50), k)
-    assert poly_sub(lhs, rhs).max_coeff_mag() <= ctx50.pow10(-44) * max(1, rhs.max_coeff_mag())
+    assert max_coeff_mag(poly_sub(lhs, rhs)) <= ctx50.pow10(-44) * max(1, max_coeff_mag(rhs))
 
 
 def test_polymatrix_rejects_quadratic_entries(ctx50):
@@ -154,10 +181,10 @@ def test_deflate_rejects_non_root(ctx50):
 def test_deflate_multiply_back(ctx50, rng):
     for _ in range(10):
         roots = [ctx50.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(5)]
-        p = Poly.from_roots(roots, ctx50)
+        p = poly_from_roots(roots, ctx50)
         q = deflate(p, roots[0], ctx50)
         back = poly_mul(q, Poly([-roots[0], ctx50.mpc(1)]))
-        assert poly_sub(back, p).max_coeff_mag() <= ctx50.pow10(-25) * max(1, p.max_coeff_mag())
+        assert max_coeff_mag(poly_sub(back, p)) <= ctx50.pow10(-25) * max(1, max_coeff_mag(p))
 
 
 def test_eval_golden_quintic_residual_at_root(ctx200):

@@ -19,7 +19,7 @@ from quintic.tschirnhaus import (
 from quintic.closedform import cardano_roots, solve_quintic
 
 from golden import GOLDEN_COEFFS, GOLDEN_S
-from polyref import fit_coeffs, paper_elimination_matrix, poly_sub
+from polyref import fit_coeffs, max_coeff_mag, paper_elimination_matrix, poly_from_roots, poly_sub
 
 
 def random_quintic(rng, ctx, magnitude=5.0):
@@ -86,7 +86,7 @@ def test_transformed_matches_paper_matrix(ctx200):
         want = Poly([v / paper.coeff(5) for v in paper.coeffs])
         assert got.degree == want.degree == 5
         assert got.coeff(5) == 1  # exactly: only the diagonal carries y, with coefficient 1
-        assert poly_sub(got, want).max_coeff_mag() <= ctx200.pow10(-180) * want.max_coeff_mag()
+        assert max_coeff_mag(poly_sub(got, want)) <= ctx200.pow10(-180) * max_coeff_mag(want)
 
 
 def test_transformed_x5_minus_1_identity_substitution(ctx50):
@@ -108,9 +108,9 @@ def test_transformed_matches_root_product(ctx50, rng):
         got = transformed_poly(q, a, b, c, d, ctx50)
         xs = aberth_solve(q.as_poly(ctx50), ctx50)
         images = [-(((x + d) * x + c) * x + b) * x - a for x in xs]
-        want = Poly.from_roots(images, ctx50)
-        scale = max(1, want.max_coeff_mag())
-        assert poly_sub(got, want).max_coeff_mag() <= ctx50.pow10(-30) * scale
+        want = poly_from_roots(images, ctx50)
+        scale = max(1, max_coeff_mag(want))
+        assert max_coeff_mag(poly_sub(got, want)) <= ctx50.pow10(-30) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_solve_a_kills_quartic_coefficient(ctx50, rng):
         b, c, d = (ctx50.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3))
         a = TraceForms(q, ctx50).a(b, c, d)
         poly = transformed_poly(q, a, b, c, d, ctx50)
-        assert abs(poly.coeff(4)) <= ctx50.pow10(-30) * max(1, poly.max_coeff_mag())
+        assert abs(poly.coeff(4)) <= ctx50.pow10(-30) * max(1, max_coeff_mag(poly))
 
 
 def _poly3_in_d_public(q, alpha, eta, xi, ctx):
@@ -152,7 +152,7 @@ def _poly3_in_d_public(q, alpha, eta, xi, ctx):
         poly = transformed_poly(q, a, b, c, d, ctx)
         polys.append(poly)
         vals.append((dn, poly.coeff(3)))
-    ref = max(p.max_coeff_mag() for p in polys)
+    ref = max(max_coeff_mag(p) for p in polys)
     floor = ctx.pow10(-(ctx.digits // 2)) * max(1, ref)
     return fit_coeffs(vals, 2, ctx, scale=max(floor, *(abs(v) for _, v in vals))), ref
 
@@ -230,7 +230,7 @@ def test_all_cardano_roots_give_valid_d(rng):
             poly = transformed_poly(q, a, b, c, d, ctx)
             polys.append(poly)
             samples.append((dn, poly.coeff(2)))
-        ref = max(p.max_coeff_mag() for p in polys)
+        ref = max(max_coeff_mag(p) for p in polys)
         floor = ctx.pow10(-(ctx.digits // 2)) * max(1, ref)
         t0, t1, t2, t3 = fit_coeffs(samples, 3, ctx, scale=max(floor, *(abs(v) for _, v in samples)))
         for d in cardano_roots(t3, t2, t1, t0, ctx):
@@ -400,7 +400,7 @@ def test_one_det5_per_successful_attempt(monkeypatch, ctx50, ctx200, rng):
 
 
 def _scale(polys):
-    return max([1] + [p.max_coeff_mag() for p in polys])
+    return max([1] + [max_coeff_mag(p) for p in polys])
 
 
 def _fit(values, degree, ref, ctx):
@@ -481,7 +481,7 @@ def test_huge_roots_typed_failure_or_correct():
     # forms raised an untyped ZeroDivisionError here, fitting a
     ctx = PrecisionCtx(digits=50)
     roots = [ctx.mpc(k * 10**30, 3 * 10**29) for k in range(1, 6)]
-    coeffs = Poly.from_roots(roots, ctx).coeffs
+    coeffs = poly_from_roots(roots, ctx).coeffs
     q = MonicQuintic(coeffs[4], coeffs[3], coeffs[2], coeffs[1], coeffs[0])
     try:
         report = solve_quintic(q, ctx)
@@ -495,7 +495,7 @@ def _cluster_triple(ctx):
     c = ctx.mpc("0.5", "0.25")
     gap = ctx.mpf("1e-8")
     roots = [c, c + gap, c + gap * 1j, ctx.mpc("-1.3", "0.7"), ctx.mpc("2.1", "-0.4")]
-    coeffs = Poly.from_roots(roots, ctx).coeffs
+    coeffs = poly_from_roots(roots, ctx).coeffs
     return MonicQuintic(coeffs[4], coeffs[3], coeffs[2], coeffs[1], coeffs[0]), roots
 
 
