@@ -1,29 +1,30 @@
 """Principal root of the Bring-Jerrard equation z^5 - z - s = 0.
 
 Inside the hypergeometric disk the root is the 4F3 series
-z = -s * 4F3(1/5,2/5,3/5,4/5; 1/2,3/4,5/4; 3125/256 * s^4); outside it the
-same function element is continued analytically along a path from 0 to s
-using the implicit first-order flow dz/ds = 1/(5 z^4 - 1) with high-order
-Taylor steps.  The returned root is always the continuation of the branch
-z ~ -s near s = 0, and is always Newton-polished at full precision.
+z = -s * 4F3(1/5,2/5,3/5,4/5; 1/2,3/4,5/4; 3125/256 * s^4).  Outside it the
+same function element is continued analytically from s = 0.  Every chart of
+the continuation follows a root of one equation along a straight step t in
+[0, 1], by high-order Taylor series of the implicit flow:
 
-Branch points sit where 3125 * s^4 = 256 (|s| = 4 * 5^(-5/4) ~ 0.535):
-paths detour around them, endpoints very close to one are reached through
-the local double-cover coordinate tau = sqrt(s - s*), and far targets are
-reached through the compactified chart eps = s^(-4/5), where the other four
-roots stay uniformly separated.
+    z^5 - a(t) z - b(t) = 0,    (5 z^4 - a) z' = a' z + b'.
+
+- sigma chart, a = 1 and b = sigma0 + h t: the march from 0 towards s, with
+  detours around the branch points 3125 s^4 = 256 (|s| ~ 0.535);
+- far-field chart, a = eps0 + h t and b = 1: v = z * s^(-1/5) solves
+  v^5 - eps v - 1 = 0 in eps = s^(-4/5), where the other four roots stay
+  uniformly separated; for |s| > 1.6 it carries on from |s| = 1.3;
+- tau hop, a = 1 and b = s* + (tau0 + h t)^2: one step in the double-cover
+  coordinate tau = sqrt(s - s*) onto an endpoint within 0.05 of a branch
+  point s*.
+
+The returned root is always the continuation of the branch z ~ -s near
+s = 0, and is always Newton-polished at full precision.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    NearBranchPoint,
-    SeriesDivergence,
-    SeriesOutOfRange,
-    StepLimitExceeded,
-)
+from .errors import NearBranchPoint, SeriesDivergence, SeriesOutOfRange, StepLimitExceeded
 from .mpfield import PrecisionCtx, shared_ctx
 
 __all__ = ["BringSolution", "hyper4f3", "bring_root_continuation", "solve_bring"]
@@ -127,149 +128,119 @@ def _plan_waypoints(start: complex, end: complex):
 
 
 # ---------------------------------------------------------------------------
-# Taylor steppers.  The march runs on a reduced-precision context; the final
-# Newton polish restores full precision and owns the residual contract.
+# Charts of z^5 - a(t) z - b(t) = 0.  The march runs on a reduced-precision
+# context; the final polish restores full precision and owns the residual
+# contract.
 # ---------------------------------------------------------------------------
 
 
-def _newton(z, s, ctx, floor_exp, max_iter=80):
-    scale = max(ctx.mpf(1), abs(s))
-    best = z
-    best_res = abs(best**5 - best - s)
-    target = ctx.pow10(floor_exp) * scale
+def _branch_points(ctx: PrecisionCtx):
+    """The four s at which z^5 - z - s has a double root: 3125 s^4 = 256."""
+    mp = ctx.mp
+    radius = mp.root(mp.mpf(256) / 3125, 4)
+    return [radius * ctx.mpc(w) for w in _BP_ANGLES]
+
+
+def _newton(z, a, b, target, max_iter):
+    """Newton on z^5 - a z - b until |residual| <= target or it stops falling."""
+    f = z**5 - a * z - b
+    res = abs(f)
     for _ in range(max_iter):
-        f = best**5 - best - s
-        if abs(f) <= target:
+        if res <= target:
             break
-        df = 5 * best**4 - 1
+        df = 5 * z**4 - a
         if df == 0:
             break
-        cand = best - f / df
-        res = abs(cand**5 - cand - s)
-        if res >= best_res:
+        cand = z - f / df
+        f_cand = cand**5 - a * cand - b
+        res_cand = abs(f_cand)
+        if res_cand >= res:
             break
-        best, best_res = cand, res
-    return best
+        z, f, res = cand, f_cand, res_cand
+    return z
 
 
-class _Stepper:
-    """Order-by-order Taylor recurrences for the three local charts.
+def _polish(z, s, ctx, digits, max_iter=80):
+    """Newton on z^5 - z - s to 10^(5 - digits) relative to max(1, |s|)."""
+    return _newton(z, 1, s, ctx.pow10(5 - digits) * max(ctx.mpf(1), abs(s)), max_iter)
 
-    Marching steps only need to land inside the Newton basin of the root
-    they track (separations along a planned path stay above ~0.1), so they
-    run to a loose tolerance and let the per-step Newton anchor restore full
-    working accuracy.  The tau-chart hop has no anchor and must resolve
-    roots split by as little as sqrt of the branch-point distance, so it
-    keeps the full series tolerance.
+
+def _taylor(z0, a, db, tol, max_terms):
+    """z(1) from z(0) = z0 by the Taylor series of (5 z^4 - a) z' = a' z + b'.
+
+    ``a = (a0, a1)`` is a(t) = a0 + a1*t, with a1 = 0 when a is constant;
+    ``db`` holds the leading Taylor coefficients of b', the rest being zero.
+    The series stops once three coefficients in a row fall below ``tol``.
+    Returns None at a double root or when ``max_terms`` do not suffice.
     """
-
-    def __init__(self, octx: PrecisionCtx):
-        self.ctx = octx
-        self.tol = octx.pow10(-12)
-        self.hop_tol = octx.pow10(-(octx.digits + 5))
-        self.max_terms = 6 * octx.digits
-        mp = octx.mp
-        radius = mp.root(mp.mpf(256) / 3125, 4)
-        self.bps = [radius * octx.mpc(w) for w in _BP_ANGLES]
-
-    def _run(self, c, d_series, rhs_of, tol):
-        """Shared recurrence: y * D = rhs, c' = y, D = 5*z^4 + (chart term)."""
-        if d_series[0] == 0:
-            return None
-        inv_d0 = 1 / d_series[0]
-        z2 = [c[0] * c[0]]
-        z4 = [z2[0] * z2[0]]
-        y = []
-        extend_d = self._extend_d
-        for k in range(self.max_terms):
-            acc = rhs_of(k, c, y)
-            for j in range(k):
-                acc -= y[j] * d_series[k - j]
-            yk = acc * inv_d0
-            y.append(yk)
-            c.append(yk / (k + 1))
-            if (
-                k >= 3
-                and abs(c[-1]) < tol
-                and abs(c[-2]) < tol
-                and abs(c[-3]) < tol
-            ):
-                acc_sum = c[-1]
-                for v in reversed(c[:-1]):
-                    acc_sum = acc_sum + v
-                return acc_sum
-            idx = k + 1
-            z2.append(sum(c[i] * c[idx - i] for i in range(idx + 1)))
-            z4.append(sum(z2[i] * z2[idx - i] for i in range(idx + 1)))
-            d_series.append(5 * z4[idx] + extend_d(idx))
+    a0, a1 = a
+    d = [5 * z0**4 - a0]  # Taylor coefficients of 5 z^4 - a
+    if d[0] == 0:
         return None
+    inv_d0 = 1 / d[0]
+    c = [z0]
+    z2 = [z0 * z0]
+    z4 = [z2[0] * z2[0]]
+    y = []  # Taylor coefficients of z'
+    for k in range(max_terms):
+        acc = a1 * c[k] if a1 else 0
+        if k < len(db):
+            acc += db[k]
+        for j in range(k):
+            acc -= y[j] * d[k - j]
+        yk = acc * inv_d0
+        y.append(yk)
+        c.append(yk / (k + 1))
+        if k >= 3 and abs(c[-1]) < tol and abs(c[-2]) < tol and abs(c[-3]) < tol:
+            return sum(reversed(c))
+        idx = k + 1
+        z2.append(sum(c[i] * c[idx - i] for i in range(idx + 1)))
+        z4.append(sum(z2[i] * z2[idx - i] for i in range(idx + 1)))
+        d.append(5 * z4[idx] - a1 if idx == 1 else 5 * z4[idx])
+    return None
 
-    def step_z(self, z0, h):
-        """z' * (5 z^4 - 1) = h along sigma = sigma0 + h*t."""
-        self._extend_d = lambda idx: 0
-        d0 = 5 * z0**4 - 1
-        zero = self.ctx.mpc(0)
-        return self._run([z0], [d0], lambda k, c, y: h if k == 0 else zero, self.tol)
 
-    def step_v(self, v0, eps0, h):
-        """v' * (5 v^4 - eps) = h * v along eps = eps0 + h*t."""
-        self._extend_d = lambda idx: -h if idx == 1 else 0
-        d0 = 5 * v0**4 - eps0
-        return self._run([v0], [d0], lambda k, c, y: h * c[k], self.tol)
+def _march(z, start, end, octx, budget, far=False):
+    """Adaptive straight-line march of a chart parameter from start to end.
 
-    def step_tau(self, z0, tau0, h):
-        """z' * (5 z^4 - 1) = 2h(tau0 + h*t) along sigma = bp + tau^2."""
-        self._extend_d = lambda idx: 0
-        d0 = 5 * z0**4 - 1
-        zero = self.ctx.mpc(0)
-
-        def rhs(k, c, y):
-            if k == 0:
-                return 2 * h * tau0
-            if k == 1:
-                return 2 * h * h
-            return zero
-
-        return self._run([z0], [d0], rhs, self.hop_tol)
-
-    def march(self, z, a, b, mode, budget_state, anchor=None):
-        """Adaptive straight-line march a -> b; ``anchor`` re-Newtons each step.
-
-        mode "z": autonomous sigma chart (step size follows the distance to
-        the branch points); mode "v": compactified far-field chart (uniform
-        steps are safe, singularities stay 0.8 away).
-        """
-        ctx = self.ctx
-        pos = a
+    The sigma chart (a = 1, b = sigma) scales its steps with the distance to
+    the nearest branch point; the far-field chart (a = eps, b = 1) keeps its
+    singularities 0.8 away, so uniform steps are safe.  A step only has to
+    land inside the Newton basin of the root it tracks (separations along a
+    planned path stay above ~0.1), so it runs to a loose tolerance and a few
+    Newton iterations re-anchor it.  Every attempted step spends one unit of
+    ``budget``; returns z at ``end`` and the budget left.
+    """
+    tol = octx.pow10(-12)
+    max_terms = 6 * octx.digits
+    bps = None if far else _branch_points(octx)
+    pos = start
+    while True:
+        remaining = end - pos
+        dist = abs(remaining)
+        if dist == 0:
+            return z, budget
+        if far:
+            h_mag = min(dist, octx.mpf("0.15"))
+        else:
+            rho = min(abs(pos - bp) for bp in bps)
+            h_mag = min(dist, max(octx.mpf("0.15") * rho, octx.mpf("1e-8")))
+        direction = remaining / dist
+        exact = h_mag == dist
         while True:
-            remaining = b - pos
-            dist = abs(remaining)
-            if dist == 0:
-                return z
-            if mode == "z":
-                rho = min(abs(pos - bp) for bp in self.bps)
-                h_mag = min(dist, max(ctx.mpf("0.15") * rho, ctx.mpf("1e-8")))
-            else:
-                h_mag = min(dist, ctx.mpf("0.15"))
-            direction = remaining / dist
-            exact = h_mag == dist
-            while True:
-                if budget_state[0] <= 0:
-                    raise StepLimitExceeded("continuation exceeded its Taylor step budget")
-                budget_state[0] -= 1
-                znew = (
-                    self.step_z(z, direction * h_mag)
-                    if mode == "z"
-                    else self.step_v(z, pos, direction * h_mag)
-                )
-                if znew is not None:
-                    break
-                h_mag = h_mag / 2
-                exact = False
-                if h_mag < ctx.mpf("1e-12"):
-                    raise StepLimitExceeded("Taylor step size underflowed")
-            pos = b if exact else pos + direction * h_mag
-            z = anchor(znew, pos) if anchor is not None else znew
+            if budget <= 0:
+                raise StepLimitExceeded("continuation exceeded its Taylor step budget")
+            budget -= 1
+            h = direction * h_mag
+            znew = _taylor(z, (pos, h), (), tol, max_terms) if far else _taylor(z, (1, 0), (h,), tol, max_terms)
+            if znew is not None:
+                break
+            h_mag = h_mag / 2
+            exact = False
+            if h_mag < octx.mpf("1e-12"):
+                raise StepLimitExceeded("Taylor step size underflowed")
+        pos = end if exact else pos + direction * h_mag
+        z = _newton(znew, pos, 1, 0, 8) if far else _polish(znew, pos, octx, octx.digits, max_iter=4)
 
 
 def bring_root_continuation(s, ctx: PrecisionCtx):
@@ -280,14 +251,12 @@ def bring_root_continuation(s, ctx: PrecisionCtx):
     """
     mp = ctx.mp
     s = ctx.convert(s)
-    radius_full = mp.root(mp.mpf(256) / 3125, 4)
-    bps_full = [radius_full * ctx.mpc(w) for w in _BP_ANGLES]
+    bps_full = _branch_points(ctx)
     near = min(range(4), key=lambda i: abs(s - bps_full[i]))
     if abs(s - bps_full[near]) < ctx.pow10(-(ctx.digits // 4)):
         raise NearBranchPoint(f"s within 10^-{ctx.digits // 4} of a double-root parameter")
 
     octx = shared_ctx(max(40, ctx.digits // 4 + 20), seed=ctx.seed)
-    st = _Stepper(octx)
     so = octx.convert(s)
     abs_s = abs(so)
 
@@ -305,18 +274,15 @@ def bring_root_continuation(s, ctx: PrecisionCtx):
     else:
         main_target = complex(so.real, so.imag)
 
-    budget = [800 + 80 * int(float(mp.log(2 + abs_s)))]
-    spent = budget[0]
+    budget = 800 + 80 * int(float(mp.log(2 + abs_s)))
+    left = budget
     z = octx.mpc(0)
-
-    def anchor(znew, pos):
-        return _newton(znew, pos, octx, -(octx.digits - 5), max_iter=4)
-
     waypoints = _plan_waypoints(0.0, main_target)
     for a, b in zip(waypoints, waypoints[1:]):
-        z = st.march(z, octx.mpc(a.real, a.imag), octx.mpc(b.real, b.imag), "z", budget, anchor)
+        z, left = _march(z, octx.mpc(a.real, a.imag), octx.mpc(b.real, b.imag), octx, left)
 
     if far:
+        # v = z * s^(-1/5) solves v^5 - eps v - 1 = 0 with eps = s^(-4/5)
         theta = mp.atan2(so.imag, so.real)
         phase5 = octx.mp.exp(octx.mpc(0, theta) / 5)
         anchor_abs = octx.mpf(_FAR_ANCHOR)
@@ -324,41 +290,33 @@ def bring_root_continuation(s, ctx: PrecisionCtx):
         phase_eps = octx.mp.exp(octx.mpc(0, -4 * theta / 5))
         eps_from = octx.mp.root(anchor_abs, 5) ** (-4) * phase_eps
         eps_to = octx.mp.root(abs_s, 5) ** (-4) * phase_eps
-
-        def anchor_v(vnew, pos):
-            best = vnew
-            best_res = abs(best**5 - pos * best - 1)
-            for _ in range(8):
-                dv = 5 * best**4 - pos
-                if dv == 0:
-                    break
-                cand = best - (best**5 - pos * best - 1) / dv
-                res = abs(cand**5 - pos * cand - 1)
-                if res >= best_res:
-                    break
-                best, best_res = cand, res
-            return best
-
-        v = st.march(v, eps_from, eps_to, "v", budget, anchor_v)
-        z = _newton(v * octx.mp.root(abs_s, 5) * phase5, so, octx, -(octx.digits - 5), max_iter=8)
+        v, left = _march(v, eps_from, eps_to, octx, left, far=True)
+        z = _polish(v * octx.mp.root(abs_s, 5) * phase5, so, octx, octx.digits, max_iter=8)
     elif endpoint_hop:
+        # one step in tau = sqrt(s - s*), where the root is analytic; it
+        # has no Newton anchor, so it keeps the full series tolerance
         bpo = octx.convert(bps_full[near])
         tau1 = octx.mp.sqrt(octx.mpc(main_target.real, main_target.imag) - bpo)
         tau2 = octx.mp.sqrt(so - bpo)
         if abs(tau2 - tau1) > abs(-tau2 - tau1):
             tau2 = -tau2
         h = tau2 - tau1
-        znew = st.step_tau(z, tau1, h)
-        if znew is None:
-            mid = st.step_tau(z, tau1, h / 2)
-            znew = st.step_tau(mid, tau1 + h / 2, h / 2) if mid is not None else None
-            if znew is None:
-                raise StepLimitExceeded("tau-chart hop failed to converge")
-        z = znew
-        budget[0] -= 1
+        hop_tol = octx.pow10(-(octx.digits + 5))
 
-    z_full = _newton(ctx.convert(z), s, ctx, -(ctx.working_dps - 5))
-    return z_full, spent - budget[0]
+        def hop(z0, tau0, h):
+            return _taylor(z0, (1, 0), (2 * h * tau0, 2 * h * h), hop_tol, 6 * octx.digits)
+
+        znew = hop(z, tau1, h)
+        if znew is None:
+            mid = hop(z, tau1, h / 2)
+            znew = None if mid is None else hop(mid, tau1 + h / 2, h / 2)
+        if znew is None:
+            raise StepLimitExceeded("tau-chart hop failed to converge")
+        z = znew
+        left -= 1
+
+    z_full = _polish(ctx.convert(z), s, ctx, ctx.working_dps)
+    return z_full, budget - left
 
 
 def solve_bring(s, ctx: PrecisionCtx, strategy: str = "auto") -> BringSolution:
@@ -374,7 +332,7 @@ def solve_bring(s, ctx: PrecisionCtx, strategy: str = "auto") -> BringSolution:
     use_series = strategy == "series" or (strategy == "auto" and abs(x) <= mp.mpf("0.8"))
     if use_series:
         total = hyper4f3(x, ctx)
-        z = _newton(-s * total, s, ctx, -(ctx.working_dps - 5))
+        z = _polish(-s * total, s, ctx, ctx.working_dps)
         picked = SERIES
         count = 0
     else:

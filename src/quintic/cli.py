@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
             ctx.mp.mpc(parse_complex(x["re"], ctx).real, parse_complex(x["im"], ctx).real)
             for x in payload["roots"]
         ]
-    except (KeyError, TypeError, ParseError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ParseError) as exc:
         print(f"error: malformed report: {exc!r}", file=sys.stderr)
         return 1
     if len(roots) != 5:

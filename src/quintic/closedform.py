@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bring as bring_mod
-from .bring import BringSolution, solve_bring
+from .bring import PURE_RADICAL, BringSolution, solve_bring
 from .errors import (
     AmbiguousSelection,
     QuinticError,
@@ -250,9 +249,7 @@ def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int, strate
             bring_sol = solve_bring(reduction.s, ctx, strategy)
         else:
             stage = "radical"
-            bring_sol = BringSolution(
-                z=ctx.mpc(0), strategy=bring_mod.PURE_RADICAL, residual=zero, terms_or_steps=0
-            )
+            bring_sol = BringSolution(z=ctx.mpc(0), strategy=PURE_RADICAL, residual=zero, terms_or_steps=0)
 
         if reduction.pure_radical == "quintic":
             roots = tuple(x - reduction.shift for x in _fifth_roots(-reduction.B, ctx))

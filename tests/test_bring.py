@@ -98,6 +98,7 @@ def test_golden_s_continuation(ctx200):
     sol = solve_bring(s, ctx200)
     assert sol.strategy == ODE_CONTINUATION
     assert sol.residual <= ctx200.pow10(-190)
+    assert sol.terms_or_steps == 17
 
 
 def test_series_ode_agreement(ctx100, rng):
@@ -134,21 +135,24 @@ def test_defining_identity_random(ctx50, rng):
 
 
 def test_far_field_targets(ctx50):
-    for s_txt in ("1e6+2e5i", "-3e4", "1e12i", "5e3-5e3i"):
+    # Taylor steps pinned: the sigma march to |s| = 1.3, then the eps chart
+    for s_txt, steps in (("1e6+2e5i", 40), ("-3e4", 56), ("1e12i", 56), ("5e3-5e3i", 23)):
         s = parse_complex(s_txt, ctx50)
         sol = solve_bring(s, ctx50)
         assert sol.strategy == ODE_CONTINUATION
         assert sol.residual <= ctx50.pow10(-35) * abs(s)
+        assert sol.terms_or_steps == steps, s_txt
 
 
 def test_near_branch_point_endpoint(ctx50):
     # just outside the refusal radius: reached through the tau chart
     mp = ctx50.mp
     bp = mp.root(mp.mpf(256) / 3125, 4)
-    for offset in ("1e-8", "1e-10+1e-10i", "-2e-7i"):
+    for offset, steps in (("1e-8", 41), ("1e-10+1e-10i", 43), ("-2e-7i", 21)):
         s = bp + parse_complex(offset, ctx50)
         sol = solve_bring(s, ctx50)
         assert sol.residual <= ctx50.pow10(-35)
+        assert sol.terms_or_steps == steps, offset
 
 
 def test_near_branch_point_refusal(ctx100):

@@ -126,10 +126,20 @@ def test_verify_malformed_json(tmp_path, capsys):
 
 
 def test_verify_missing_fields(tmp_path, capsys):
+    coeffs = dict(zip("mnpqr", ("-200i", "1340", "12.34910", "-239.18200", "339.2181700")))
+    roots = [{"re": "1", "im": "0"}] * 5
+    payloads = (
+        {"roots": []},
+        {"input": {"digits": 10, **coeffs}, "roots": roots},  # below PrecisionCtx's floor
+        {"input": {"digits": "abc", **coeffs}, "roots": roots},
+        {"input": {"digits": 50, **coeffs}, "roots": [{"re": 1, "im": 0}] * 5},  # not a string
+    )
     report = tmp_path / "fields.json"
-    report.write_text(json.dumps({"roots": []}))
-    code, _, err = run(capsys, ["verify", str(report)])
-    assert code == 1
+    for payload in payloads:
+        report.write_text(json.dumps(payload))
+        code, _, err = run(capsys, ["verify", str(report)])
+        assert code == 1, payload
+        assert "error: malformed report" in err, payload
 
 
 def test_bench_rows_and_tolerance(capsys):
