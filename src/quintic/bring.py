@@ -27,11 +27,12 @@ from dataclasses import dataclass
 from .errors import NearBranchPoint, SeriesDivergence, SeriesOutOfRange, StepLimitExceeded
 from .mpfield import PrecisionCtx, shared_ctx
 
-__all__ = ["BringSolution", "hyper4f3", "bring_root_continuation", "solve_bring"]
+__all__ = ["STRATEGIES", "BringSolution", "hyper4f3", "bring_root_continuation", "solve_bring"]
 
 SERIES = "series"
 ODE_CONTINUATION = "ode_continuation"
 PURE_RADICAL = "pure_radical"
+STRATEGIES = ("auto", "series", "ode")  # what solve_bring and solve_quintic accept
 
 # |s| of the four branch points: 3125 s^4 = 256.
 _BP_RADIUS = float((256.0 / 3125.0) ** 0.25)
@@ -326,6 +327,8 @@ def solve_bring(s, ctx: PrecisionCtx, strategy: str = "auto") -> BringSolution:
     continuation otherwise; "series"/"ode" force one path.  The result is
     always Newton-polished and carries its measured residual.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     mp = ctx.mp
     s = ctx.convert(s)
     x = mp.mpf(3125) / 256 * s**4

@@ -17,6 +17,7 @@ import time
 from .errors import ParseError, QuinticError
 from .mpfield import PrecisionCtx, format_complex, parse_complex
 from .oracle import aberth_solve, match_rootsets
+from .bring import STRATEGIES
 from .tschirnhaus import MonicQuintic
 from .closedform import RootReport, inclusion_radii, solve_quintic
 
@@ -156,7 +157,7 @@ def cmd_verify(args) -> int:
             ctx.mp.mpc(parse_complex(x["re"], ctx).real, parse_complex(x["im"], ctx).real)
             for x in payload["roots"]
         ]
-    except (KeyError, TypeError, ValueError, AttributeError, ParseError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError, ParseError) as exc:
         print(f"error: malformed report: {exc!r}", file=sys.stderr)
         return 1
     if len(roots) != 5:
@@ -235,7 +236,7 @@ def _build_parser():
     for flag in _COEFF_FLAGS:
         ps.add_argument(flag, required=True, help=f"coefficient {flag[2:]} as a complex literal")
     ps.add_argument("--digits", type=int, default=_default_digits())
-    ps.add_argument("--strategy", choices=["auto", "series", "ode"], default="auto")
+    ps.add_argument("--strategy", choices=STRATEGIES, default="auto")
     ps.add_argument("--fallback", choices=["none", "oracle"], default="none")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--json", action="store_true", help="emit the JSON report")

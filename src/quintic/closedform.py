@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bring import PURE_RADICAL, BringSolution, solve_bring
+from .bring import PURE_RADICAL, STRATEGIES, BringSolution, solve_bring
 from .errors import (
     AmbiguousSelection,
     QuinticError,
@@ -301,6 +301,8 @@ def solve_quintic(quintic: MonicQuintic, ctx: PrecisionCtx, strategy: str = "aut
     precision; structural failures propagate wrapped with their pipeline
     stage.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     last = None
     for factor in (1, 2, 4):
         wctx = ctx if factor == 1 else ctx.escalated(factor)

@@ -1,16 +1,15 @@
 """Dense univariate polynomials over AppComplex.
 
-Provides the 5x5 determinant of a matrix whose entries are degree<=1
-polynomials (the reduction's certificate det(y*I + M_T)), computed in the
-context's own arithmetic, and the solver's one vanishing test with the root
-scale it weighs polynomial values at.
+Provides det(y*I + M) of a 5x5 scalar matrix M (the reduction's certificate
+at M = M_T) in the context's own arithmetic, and the solver's one vanishing
+test with the root scale it weighs polynomial values at.
 """
 
 from __future__ import annotations
 
 from .mpfield import PrecisionCtx
 
-__all__ = ["Poly", "PolyMatrix5", "det5", "negligible", "root_scale", "value_terms"]
+__all__ = ["Poly", "det5", "negligible", "root_scale", "value_terms"]
 
 
 class Poly:
@@ -43,25 +42,6 @@ class Poly:
         return f"Poly(degree={self.degree})"
 
 
-class PolyMatrix5:
-    """5x5 grid of Poly entries, each of degree <= 1."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if len(entries) != 5 or any(len(r) != 5 for r in entries):
-            raise ValueError("PolyMatrix5 needs a 5x5 grid")
-        for row in entries:
-            for e in row:
-                if e.degree > 1:
-                    raise ValueError("matrix entries must have degree <= 1")
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix5 is immutable")
-
-
 def negligible(value, terms, tol) -> bool:
     """The solver's one vanishing test: |value| <= tol * sum |term|.
 
@@ -88,41 +68,29 @@ def value_terms(coeffs, ctx: PrecisionCtx):
     return [radius**n] + [abs(c) * radius ** (n - k) for k, c in enumerate(coeffs, start=1)]
 
 
-def det5(matrix: PolyMatrix5, ctx: PrecisionCtx) -> Poly:
-    """Determinant of a 5x5 matrix of degree<=1 polynomials.
+def det5(matrix, ctx: PrecisionCtx) -> Poly:
+    """det(y*I + M) of a 5x5 scalar matrix M, given as rows, as a polynomial in y.
 
     Laplace expansion along the rows with minors shared across column subsets
     (bitmask dynamic programming), in the context's own arithmetic, which
-    rounds to nearest like the rest of the solver; not normalized, the
-    caller owns sign/leading coefficient conventions.
+    rounds to nearest like the rest of the solver.  Row r carries y only in
+    column r, so that term adds the minor shifted up one power of y.
     """
     mpc = ctx.mp.mpc
-    rows = [[(mpc(e.coeff(0)), mpc(e.coeff(1))) for e in row] for row in matrix.entries]
+    rows = [[mpc(v) for v in row] for row in matrix]
 
-    # minors[mask] = coefficients of the det of rows r..4 over the columns in mask
-    minors = {1 << c: list(rows[4][c]) for c in range(5)}
+    # minors[mask] = coefficients in y of the det of the last popcount(mask) rows, columns in mask
+    minors = {1 << c: [rows[4][c], mpc(1 if c == 4 else 0)] for c in range(5)}
     for r in range(3, -1, -1):
-        nxt = {}
         for mask in range(32):
             if bin(mask).count("1") != 5 - r:
                 continue
             acc = [0] * (6 - r)
-            sign = 1
-            for c in range(5):
-                bit = 1 << c
-                if not mask & bit:
-                    continue
-                l0, l1 = rows[r][c]
-                minor = minors[mask ^ bit]
-                term = [l0 * v for v in minor] + [0]
-                if l1:
-                    for i, v in enumerate(minor):
-                        term[i + 1] += l1 * v
-                if sign > 0:
-                    acc = [u + v for u, v in zip(acc, term)]
-                else:
-                    acc = [u - v for u, v in zip(acc, term)]
-                sign = -sign
-            nxt[mask] = acc
-        minors = nxt
+            for k, c in enumerate(j for j in range(5) if mask >> j & 1):
+                minor = minors[mask ^ (1 << c)]
+                term = [rows[r][c] * v for v in minor] + [0]
+                if c == r:  # y*I + M: add the minor shifted up one power of y
+                    term = [t + v for t, v in zip(term, [0] + minor)]
+                acc = [u - v if k % 2 else u + v for u, v in zip(acc, term)]
+            minors[mask] = acc
     return Poly(minors[0b11111])

@@ -12,11 +12,11 @@ the quadratic one into an alpha quadratic, an affine (eta, xi) line and a
 xi quadratic, and the cubic one leaves a cubic in d.
 
 The solved substitution is then evaluated once through the 5x5 determinant
-det(y*I + M_T), M_T the matrix of multiplication by T(x) = x^4 + d*x^3 +
-c*x^2 + b*x + a modulo the quintic (Cox, Little & O'Shea, "Using Algebraic
-Geometry", ch. 2).  It gives A, B and the residual y^4, y^3, y^2
+det(y*I + M_T), M_T the scalar matrix of multiplication by T(x) = x^4 +
+d*x^3 + c*x^2 + b*x + a modulo the quintic (Cox, Little & O'Shea, "Using
+Algebraic Geometry", ch. 2).  It gives A, B and the residual y^4, y^3, y^2
 coefficients that certify the reduction independently of the forms; the
-tests check it against the paper's transcribed elimination matrix.
+tests check M_T against the paper's transcribed elimination matrix.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 from .errors import DegenerateLeading, PrecisionExhausted, ShiftLadderExhausted
 from .mpfield import PrecisionCtx, pow_rational, sqrt_principal
-from .polyring import Poly, PolyMatrix5, det5, negligible, root_scale
+from .polyring import Poly, det5, negligible, root_scale
 
 __all__ = [
     "MonicQuintic",
     "TschirnhausParams",
     "BringReduction",
+    "multiplication_matrix",
     "transformed_poly",
     "TraceForms",
     "reduce_to_bring",
@@ -123,25 +124,24 @@ class BringReduction:
 # ---------------------------------------------------------------------------
 
 
+def multiplication_matrix(quintic: MonicQuintic, a, b, c, d, ctx: PrecisionCtx):
+    """Rows of M_T: column k is T(x)*x^k modulo the quintic in the basis 1, x, .., x^4."""
+    m, n, p, q, r = (ctx.convert(v) for v in quintic.coeffs())
+    cols = [[ctx.convert(v) for v in (a, b, c, d)] + [ctx.mpc(1)]]
+    for _ in range(4):
+        # x * column, with x^5 = -(m*x^4 + n*x^3 + p*x^2 + q*x + r)
+        c0, c1, c2, c3, top = cols[-1]
+        cols.append([-r * top, c0 - q * top, c1 - p * top, c2 - n * top, c3 - m * top])
+    return list(zip(*cols))
+
+
 def transformed_poly(quintic: MonicQuintic, a, b, c, d, ctx: PrecisionCtx) -> Poly:
     """Monic quintic in y whose roots are -T(x_i), T = x^4 + d*x^3 + c*x^2 + b*x + a.
 
-    By Stickelberger's theorem the product of (y + T(x_i)) is det(y*I + M_T),
-    where column k of M_T holds T(x)*x^k reduced modulo the quintic in the
-    basis 1, x, .., x^4.  Only the diagonal carries y, each time with
-    coefficient 1, so the determinant's y^5 coefficient is exactly 1.
+    By Stickelberger's theorem that is det(y*I + M_T), whose y^5 coefficient
+    is exactly 1: only the diagonal carries y, each time with coefficient 1.
     """
-    m, n, p, q, r = (ctx.convert(v) for v in quintic.coeffs())
-    col = [ctx.convert(v) for v in (a, b, c, d)] + [ctx.mpc(1)]
-    cols = [col]
-    for _ in range(4):
-        # x * column, with x^5 = -(m*x^4 + n*x^3 + p*x^2 + q*x + r)
-        top = col[4]
-        col = [-r * top, col[0] - q * top, col[1] - p * top, col[2] - n * top, col[3] - m * top]
-        cols.append(col)
-    one = ctx.mpc(1)
-    rows = [[Poly([cols[j][i], one] if i == j else [cols[j][i]]) for j in range(5)] for i in range(5)]
-    return det5(PolyMatrix5(rows), ctx)
+    return det5(multiplication_matrix(quintic, a, b, c, d, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------

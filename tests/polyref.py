@@ -5,11 +5,12 @@ polynomials, nor weighs by the coefficient scale max(1, |c|); the tests use
 these to build independent oracles (the 120-permutation determinant, the
 multiply-back check of deflation, the determinant sampled at integer nodes
 and interpolated with a degree guard, and the paper's transcribed
-elimination matrix that the solver's certificate is checked against).
+elimination matrix, rows of Poly entries that the solver's scalar M_T is
+checked against entry by entry).
 """
 
 from quintic.errors import NotARoot, QuinticError
-from quintic.polyring import Poly, PolyMatrix5
+from quintic.polyring import Poly
 from quintic.tschirnhaus import MonicQuintic
 
 
@@ -33,10 +34,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
 
 def poly_sub(p: Poly, q: Poly) -> Poly:
     return poly_add(p, Poly([-v for v in q.coeffs]))
-
-
-def poly_scale(p: Poly, k) -> Poly:
-    return Poly([v * k for v in p.coeffs])
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -149,8 +146,8 @@ def quintic_scale(quintic, ctx):
     return max(ctx.mpf(1), *(abs(v) for v in quintic.coeffs()))
 
 
-def paper_elimination_matrix(quintic, a, b, c, d, ctx) -> PolyMatrix5:
-    """The paper's 5x5 elimination matrix, transcribed term by term.
+def paper_elimination_matrix(quintic, a, b, c, d, ctx) -> list:
+    """The paper's 5x5 elimination matrix, transcribed term by term, as rows.
 
     Entries are degree<=1 polynomials in y.  Row i is column i of y*I + M_T,
     M_T the matrix of multiplication by T(x) = x^4 + d*x^3 + c*x^2 + b*x + a
@@ -193,4 +190,4 @@ def paper_elimination_matrix(quintic, a, b, c, d, ctx) -> PolyMatrix5:
         C(-d * m * p + d * m2 * n + c * p + d * q + 2 * m * n * n - c * m * n - m3 * n - 2 * n * p - m * q + m2 * p + b * n - d * n * n + r),
         L(b * m - 2 * m * p + q + c * n - 2 * d * m * n - a + 3 * m2 * n - c * m2 + d * m3 - n * n - m4 + d * p, -one),
     ]
-    return PolyMatrix5([row1, row2, row3, row4, row5])
+    return [row1, row2, row3, row4, row5]

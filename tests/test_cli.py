@@ -133,6 +133,7 @@ def test_verify_missing_fields(tmp_path, capsys):
         {"input": {"digits": 10, **coeffs}, "roots": roots},  # below PrecisionCtx's floor
         {"input": {"digits": "abc", **coeffs}, "roots": roots},
         {"input": {"digits": 50, **coeffs}, "roots": [{"re": 1, "im": 0}] * 5},  # not a string
+        {"input": {"digits": float("inf"), **coeffs}, "roots": roots},  # written as Infinity
     )
     report = tmp_path / "fields.json"
     for payload in payloads:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quintic.bring import solve_bring
 from quintic.closedform import (
     QuarticCoeffs,
     cardano_roots,
@@ -289,3 +290,13 @@ def test_solver_wraps_stage_errors(ctx50):
     with pytest.raises(StageError) as exc:
         solve_quintic(q, ctx50, strategy="series")
     assert exc.value.stage == "bring"
+
+
+def test_unknown_strategy_rejected(ctx50):
+    # a misspelt strategy is refused before any work, also where the solve
+    # never reaches the Bring step (x^5 - 2 is a pure fifth power)
+    for coeffs in (GOLDEN_COEFFS, (0, 0, 0, 0, -2)):
+        with pytest.raises(ValueError):
+            solve_quintic(MonicQuintic.make(ctx50, *coeffs), ctx50, strategy="bogus")
+    with pytest.raises(ValueError):
+        solve_bring(ctx50.mpc("0.1"), ctx50, strategy="bogus")

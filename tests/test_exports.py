@@ -4,7 +4,9 @@
 runs outside the benchmark's error handling, so a renamed or deleted
 attribute would break ``perfbench/run.py --trace 1``.  These tests only read
 ``perfbench/``.  A source check also keeps the solver's arithmetic in its
-contexts: raw ``libmp`` calls take no rounding mode from the context.
+contexts: raw ``libmp`` calls take no rounding mode from the context.  Another
+pins each module's absolute imports, since the benchmark's import-time metric
+is too noisy to show a new one.
 """
 
 import ast
@@ -22,6 +24,19 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = Path(__file__).resolve().parent.parent / "src" / "quintic"
 
 MODULES = ["quintic"] + [f"quintic.{info.name}" for info in pkgutil.iter_modules(quintic.__path__)]
+
+# top-level packages each module imports by absolute name; add one here only on purpose
+IMPORTS = {
+    "__init__": set(),
+    "bring": {"__future__", "dataclasses"},
+    "cli": {"__future__", "argparse", "json", "os", "random", "sys", "time"},
+    "closedform": {"__future__", "dataclasses"},
+    "errors": set(),
+    "mpfield": {"__future__", "dataclasses", "functools", "math", "mpmath", "re"},
+    "oracle": {"__future__", "cmath", "dataclasses", "itertools"},
+    "polyring": {"__future__"},
+    "tschirnhaus": {"__future__", "dataclasses"},
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -62,3 +77,15 @@ def test_no_raw_libmp_arithmetic():
                 names = (f"{module}.{alias.name}" if module else alias.name for alias in node.names)
                 uses.update((path.stem, name) for name in names if "libmp" in name)
     assert uses <= {("mpfield", "mpmath.libmp"), ("mpfield", "to_str")}, sorted(uses)
+
+
+def test_imports_pinned():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = found.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    assert found == IMPORTS

@@ -6,13 +6,13 @@ import quintic.tschirnhaus as tschirnhaus
 from quintic.errors import DegenerateLeading, PrecisionExhausted, QuinticError
 from quintic.mpfield import PrecisionCtx, parse_complex
 from quintic.oracle import aberth_solve, match_rootsets
-from quintic.polyring import Poly, det5
 from quintic.tschirnhaus import (
     _D_INDEX,
     _XI_BRANCH,
     MonicQuintic,
     TraceForms,
     _form_root,
+    multiplication_matrix,
     reduce_to_bring,
     transformed_poly,
 )
@@ -37,20 +37,20 @@ def random_quintic(rng, ctx, magnitude=5.0):
 def test_matrix_entry_m25(ctx50):
     q = MonicQuintic.make(ctx50, 2, 0, 0, 0, 0)
     m = paper_elimination_matrix(q, 0, 0, 0, ctx50.mpc(1), ctx50)
-    assert m.entries[1][4].coeffs == (ctx50.mpc(1),)  # m - d = 2 - 1
+    assert m[1][4].coeffs == (ctx50.mpc(1),)  # m - d = 2 - 1
 
 
 def test_matrix_entry_m21_is_r(ctx50, rng):
     for _ in range(5):
         q = random_quintic(rng, ctx50)
         m = paper_elimination_matrix(q, rng.random(), rng.random(), rng.random(), rng.random(), ctx50)
-        assert m.entries[1][0].coeffs == (q.r,)
+        assert m[1][0].coeffs == (q.r,)
 
 
 def test_matrix_entry_m22(ctx50):
     q = MonicQuintic.make(ctx50, 0, 0, 0, 3, 0)
     m = paper_elimination_matrix(q, ctx50.mpc(1), 0, 0, 0, ctx50)
-    entry = m.entries[1][1]  # -y + q - a = 2 - y
+    entry = m[1][1]  # -y + q - a = 2 - y
     assert entry.coeff(0) == 2 and entry.coeff(1) == -1
 
 
@@ -60,7 +60,7 @@ def test_matrix_diagonal_carries_y(ctx50, rng):
     signs = [1, -1, -1, 1, -1]
     for i in range(5):
         for j in range(5):
-            e = m.entries[i][j]
+            e = m[i][j]
             if i == j:
                 assert e.coeff(1) == signs[i]
             else:
@@ -73,20 +73,27 @@ def test_matrix_diagonal_carries_y(ctx50, rng):
 
 
 def test_transformed_matches_paper_matrix(ctx200):
-    # the golden quintic and 20 random ones, each at its solved substitution
+    # the golden quintic and 20 random ones, each at its solved substitution:
+    # row i of the paper's matrix times (+, -, -, +, -)[i] is column i of y*I + M_T
     rng = random.Random(1729)
     quintics = [MonicQuintic.make(ctx200, *GOLDEN_COEFFS)]
     quintics += [random_quintic(rng, ctx200, 1000.0) for _ in range(20)]
+    signs = [1, -1, -1, 1, -1]
     for q in quintics:
         red = reduce_to_bring(q, ctx200)
         q = q if red.shift == 0 else q.shifted(red.shift, ctx200)
         params = (red.params.a, red.params.b, red.params.c, red.params.d)
-        got = transformed_poly(q, *params, ctx200)
-        paper = det5(paper_elimination_matrix(q, *params, ctx200), ctx200)
-        want = Poly([v / paper.coeff(5) for v in paper.coeffs])
-        assert got.degree == want.degree == 5
-        assert got.coeff(5) == 1  # exactly: only the diagonal carries y, with coefficient 1
-        assert max_coeff_mag(poly_sub(got, want)) <= ctx200.pow10(-180) * max_coeff_mag(want)
+        mt = multiplication_matrix(q, *params, ctx200)
+        paper = paper_elimination_matrix(q, *params, ctx200)
+        scale = max(abs(v) for row in mt for v in row)
+        for i in range(5):
+            for j in range(5):
+                entry = paper[i][j]
+                assert entry.degree <= 1
+                assert abs(signs[i] * entry.coeff(0) - mt[j][i]) <= ctx200.pow10(-180) * scale
+                assert signs[i] * entry.coeff(1) == (1 if i == j else 0)
+        poly = transformed_poly(q, *params, ctx200)
+        assert poly.degree == 5 and poly.coeff(5) == 1  # exactly: y sits on the diagonal with coefficient 1
 
 
 def test_transformed_x5_minus_1_identity_substitution(ctx50):
