@@ -1,9 +1,10 @@
 """Principal root of the Bring-Jerrard equation z^5 - z - s = 0.
 
 Inside the hypergeometric disk the root is the 4F3 series
-z = -s * 4F3(1/5,2/5,3/5,4/5; 1/2,3/4,5/4; 3125/256 * s^4).  Outside it the
-same function element is continued analytically from s = 0.  Every chart of
-the continuation follows a root of one equation along a straight step t in
+z = -s * 4F3(1/5,2/5,3/5,4/5; 1/2,3/4,5/4; 3125/256 * s^4), summed by
+mpmath's fixed-point hypergeometric kernel.  Outside it the same function
+element is continued analytically from s = 0.  Every chart of the
+continuation follows a root of one equation along a straight step t in
 [0, 1], by high-order Taylor series of the implicit flow:
 
     z^5 - a(t) z - b(t) = 0,    (5 z^4 - a) z' = a' z + b'.
@@ -15,9 +16,10 @@ the continuation follows a root of one equation along a straight step t in
   uniformly separated; for |s| > 1.6 it carries on from |s| = 1.3;
 - tau hop, a = 1 and b = s* + (tau0 + h t)^2: one step in the double-cover
   coordinate tau = sqrt(s - s*) onto an endpoint within 0.05 of a branch
-  point s*.
+  point s*, to a tolerance that lands it in the Newton basin of its root.
 
-The returned root is always the continuation of the branch z ~ -s near
+Every continuation step, the hop included, lands only near its root; the
+returned root is always the continuation of the branch z ~ -s near
 s = 0, and is always Newton-polished at full precision.
 """
 from __future__ import annotations
@@ -57,31 +59,23 @@ class BringSolution:
 
 
 def hyper4f3(x, ctx: PrecisionCtx):
-    """4F3 with upper parameters {k/5} and lower {1/2, 3/4, 5/4} at x, |x| <= 0.9."""
+    """4F3 with upper parameters {k/5} and lower {1/2, 3/4, 5/4} at x, |x| <= 0.9.
+
+    mpmath's fixed-point hypergeometric kernel sums the series with the
+    parameters as exact rationals and adds guard bits until the sum is good
+    to the working precision.  Unlike ``mp.hyper`` it never falls back to
+    extrapolation: past the term budget it raises SeriesDivergence.
+    """
     mp = ctx.mp
     x = ctx.convert(x)
     if abs(x) > mp.mpf("0.9"):
         raise SeriesOutOfRange(f"|x| = {mp.nstr(abs(x), 5)} > 0.9")
-    one = mp.mpf(1)
-    up = (one / 5, mp.mpf(2) / 5, mp.mpf(3) / 5, mp.mpf(4) / 5)
-    low = (one / 2, mp.mpf(3) / 4, mp.mpf(5) / 4)
-    total = mp.mpc(1)
-    term = mp.mpc(1)
-    tiny_streak = 0
-    cutoff = ctx.pow10(-ctx.digits - 10)
+    params = [mp.mpq(k, 5) for k in (1, 2, 3, 4)] + [mp.mpq(1, 2), mp.mpq(3, 4), mp.mpq(5, 4)]
     budget = _SERIES_TERMS_PER_DIGIT * ctx.digits
-    for k in range(budget):
-        ratio = (up[0] + k) * (up[1] + k) * (up[2] + k) * (up[3] + k)
-        ratio /= (low[0] + k) * (low[1] + k) * (low[2] + k) * (k + 1)
-        term = term * ratio * x
-        total += term
-        if abs(term) < cutoff * abs(total):
-            tiny_streak += 1
-            if tiny_streak >= 3:
-                return total
-        else:
-            tiny_streak = 0
-    raise SeriesDivergence(f"no convergence after {budget} terms")
+    try:
+        return mp.mpc(mp.hypsum(4, 3, ("Q",) * 7, params, x, maxterms=budget))
+    except mp.NoConvergence:
+        raise SeriesDivergence(f"no convergence after {budget} terms") from None
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +288,20 @@ def bring_root_continuation(s, ctx: PrecisionCtx):
         v, left = _march(v, eps_from, eps_to, octx, left, far=True)
         z = _polish(v * octx.mp.root(abs_s, 5) * phase5, so, octx, octx.digits, max_iter=8)
     elif endpoint_hop:
-        # one step in tau = sqrt(s - s*), where the root is analytic; it
-        # has no Newton anchor, so it keeps the full series tolerance
+        # one step in tau = sqrt(s - s*), where the root is analytic.  Like a
+        # march step it only has to land in the Newton basin of its root;
+        # the partner root is about 1.16 |tau2| away, so the tolerance
+        # scales with |tau2|, and the final polish does the rest
         bpo = octx.convert(bps_full[near])
         tau1 = octx.mp.sqrt(octx.mpc(main_target.real, main_target.imag) - bpo)
         tau2 = octx.mp.sqrt(so - bpo)
         if abs(tau2 - tau1) > abs(-tau2 - tau1):
             tau2 = -tau2
         h = tau2 - tau1
-        hop_tol = octx.pow10(-(octx.digits + 5))
-
-        def hop(z0, tau0, h):
-            return _taylor(z0, (1, 0), (2 * h * tau0, 2 * h * h), hop_tol, 6 * octx.digits)
-
-        znew = hop(z, tau1, h)
-        if znew is None:
-            mid = hop(z, tau1, h / 2)
-            znew = None if mid is None else hop(mid, tau1 + h / 2, h / 2)
-        if znew is None:
+        hop_tol = octx.pow10(-12) * min(1, abs(tau2))
+        z = _taylor(z, (1, 0), (2 * h * tau1, 2 * h * h), hop_tol, 6 * octx.digits)
+        if z is None:
             raise StepLimitExceeded("tau-chart hop failed to converge")
-        z = znew
         left -= 1
 
     z_full = _polish(ctx.convert(z), s, ctx, ctx.working_dps)

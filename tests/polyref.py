@@ -1,4 +1,5 @@
-"""Reference polynomial arithmetic, guarded interpolation and the paper's matrix.
+"""Reference polynomial arithmetic, guarded interpolation, the paper's matrix
+and a floating-point Bring root tracker.
 
 The solver itself never adds, multiplies, evaluates, deflates or fits
 polynomials, nor weighs by the coefficient scale max(1, |c|); the tests use
@@ -6,12 +7,18 @@ these to build independent oracles (the 120-permutation determinant, the
 multiply-back check of deflation, the determinant sampled at integer nodes
 and interpolated with a degree guard, and the paper's transcribed
 elimination matrix, rows of Poly entries that the solver's scalar M_T is
-checked against entry by entry).
+checked against entry by entry).  ``track_bring_root`` follows the Bring
+branch in double precision, apart from the solver's charts, so that a
+continuation landing on the wrong root of z^5 - z - s shows.
 """
 
 from quintic.errors import NotARoot, QuinticError
 from quintic.polyring import Poly
 from quintic.tschirnhaus import MonicQuintic
+
+
+# the four s at which z^5 - z - s has a double root: 3125 s^4 = 256
+BRING_BRANCH_POINTS = tuple((256 / 3125) ** 0.25 * w for w in (1, 1j, -1, -1j))
 
 
 class DegreeGuardFailure(QuinticError):
@@ -191,3 +198,32 @@ def paper_elimination_matrix(quintic, a, b, c, d, ctx) -> list:
         L(b * m - 2 * m * p + q + c * n - 2 * d * m * n - a + 3 * m2 * n - c * m2 + d * m3 - n * n - m4 + d * p, -one),
     ]
     return [row1, row2, row3, row4, row5]
+
+
+def track_bring_root(s: complex) -> complex:
+    """The root of z^5 - z - s continued in floats from z = 0 along 0 -> s.
+
+    RK4 on dz/ds = 1 / (5 z^4 - 1), each step 0.05 times the distance to the
+    nearest branch point and followed by four Newton corrections, so the
+    tracked root never jumps to the one it meets at that branch point.
+    """
+    length = abs(s)
+    if length == 0:
+        return 0j
+    unit = s / length
+    z = 0j
+    done = 0.0
+    while done < length:
+        gap = min(abs(unit * done - bp) for bp in BRING_BRANCH_POINTS)
+        h = min(length - done, 0.05 * gap)
+        ds = unit * h
+        k1 = 1 / (5 * z**4 - 1)
+        k2 = 1 / (5 * (z + ds * k1 / 2) ** 4 - 1)
+        k3 = 1 / (5 * (z + ds * k2 / 2) ** 4 - 1)
+        k4 = 1 / (5 * (z + ds * k3) ** 4 - 1)
+        z += ds * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+        done = length if h == length - done else done + h
+        target = s if done == length else unit * done
+        for _ in range(4):
+            z -= (z**5 - z - target) / (5 * z**4 - 1)
+    return z

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 
 import pytest
@@ -12,9 +14,10 @@ from quintic.bring import (
     solve_bring,
 )
 from quintic.errors import NearBranchPoint, SeriesDivergence, SeriesOutOfRange
-from quintic.mpfield import parse_complex
+from quintic.mpfield import parse_complex, shared_ctx
 
 from golden import GOLDEN_S
+from polyref import BRING_BRANCH_POINTS, track_bring_root
 
 
 def bring_residual(z, s):
@@ -56,6 +59,15 @@ def test_hyper_parameter_order_is_immaterial(ctx100):
     main_text_order = series_oracle(x, ctx100, (3, 2, 1, 4))
     got = hyper4f3(x, ctx100)
     assert abs(got - main_text_order) <= ctx100.pow10(-90) * abs(got)
+
+
+@pytest.mark.parametrize("x_text", ["0.1+0.05i", "0.5-0.1i", "0.78i"])
+def test_hyper_full_working_accuracy(ctx200, x_text):
+    x = parse_complex(x_text, ctx200)
+    got = hyper4f3(x, ctx200)
+    wide = shared_ctx(400)
+    want = hyper4f3(wide.convert(x), wide)
+    assert abs(wide.convert(got) - want) <= wide.pow10(-(ctx200.digits + 15)) * abs(want)
 
 
 def test_hyper_out_of_range(ctx50):
@@ -144,15 +156,66 @@ def test_far_field_targets(ctx50):
         assert sol.terms_or_steps == steps, s_txt
 
 
-def test_near_branch_point_endpoint(ctx50):
+# s - s* per precision, with the Taylor steps pinned and, beyond 50 digits,
+# the root of a 50-digit solve whose tau hop ran to the full series tolerance
+NEAR_BRANCH = {
+    50: (("1e-8", 41, None), ("1e-10+1e-10i", 43, None), ("-2e-7i", 21, None)),
+    200: (
+        (
+            "ring",
+            17,
+            "-0.66699133010890446813576541524345370591737126450929"
+            "+0.00054179770624594353087303947635458008891328985693482i",
+        ),
+        (
+            "1e-10+1e-10i",
+            43,
+            "-0.66873767345575467505534062455053015235321846517663"
+            "-0.0000063531382406218049575546689734315808496438684190277i",
+        ),
+    ),
+    1000: (
+        (
+            "1e-8",
+            41,
+            "-0.66874030747642201278811725602576855466051799270862"
+            "-0.000057824748215034280702162175289452997907252426703144i",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("digits", sorted(NEAR_BRANCH))
+def test_near_branch_point_endpoint(digits):
     # just outside the refusal radius: reached through the tau chart
-    mp = ctx50.mp
+    ctx = shared_ctx(digits)
+    mp = ctx.mp
     bp = mp.root(mp.mpf(256) / 3125, 4)
-    for offset, steps in (("1e-8", 41), ("1e-10+1e-10i", 43), ("-2e-7i", 21)):
-        s = bp + parse_complex(offset, ctx50)
-        sol = solve_bring(s, ctx50)
-        assert sol.residual <= ctx50.pow10(-35)
+    for offset, steps, frozen in NEAR_BRANCH[digits]:
+        if offset == "ring":  # the benchmark's ring_defect
+            s = bp + ctx.pow10(-5) * mp.expj(mp.pi + mp.mpf("0.6"))
+        else:
+            s = bp + parse_complex(offset, ctx)
+        sol = solve_bring(s, ctx)
+        assert sol.strategy == ODE_CONTINUATION
+        assert sol.residual <= ctx.pow10(15 - digits)
         assert sol.terms_or_steps == steps, offset
+        if frozen is not None:
+            assert abs(sol.z - parse_complex(frozen, ctx)) <= ctx.pow10(-30), offset
+
+
+def test_near_branch_point_stays_on_branch(ctx200):
+    # endpoints 1e-11 to 0.045 from each branch point, approached from the
+    # origin's side: the tau hop must land on the tracked root, not on the
+    # partner it meets at s*
+    rng = random.Random(20261020)
+    for i in range(16):
+        bp = BRING_BRANCH_POINTS[i % 4]
+        distance = 10.0 ** rng.uniform(-11.0, math.log10(0.045))
+        s = bp + cmath.rect(distance, cmath.phase(-bp) + rng.uniform(-1.3, 1.3))
+        sol = solve_bring(ctx200.mpc(s.real, s.imag), ctx200)
+        assert sol.strategy == ODE_CONTINUATION
+        assert abs(complex(sol.z) - track_bring_root(s)) <= 1e-9, s
 
 
 def test_near_branch_point_refusal(ctx100):
