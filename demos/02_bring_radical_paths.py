@@ -3,8 +3,9 @@
 z(s) solves z^5 - z - s = 0 and continues the branch z ~ -s near s = 0.
 Inside |3125/256 s^4| <= 0.8 a 4F3 hypergeometric series computes it
 directly; outside, the same function element is continued along a path in
-the s-plane; near the four branch points (3125 s^4 = 256) paths detour and
-endpoints switch to the double-cover coordinate sqrt(s - s*).
+the s-plane, from the series' value where the path leaves the disk; near the
+four branch points (3125 s^4 = 256) paths detour and endpoints switch to the
+double-cover coordinate sqrt(s - s*).
 """
 
 from quintic import PrecisionCtx, solve_bring

@@ -1,16 +1,17 @@
 """Principal root of the Bring-Jerrard equation z^5 - z - s = 0.
 
-Inside the hypergeometric disk the root is the 4F3 series
+Inside the disk |3125/256 * s^4| <= 0.8 the root is the 4F3 series
 z = -s * 4F3(1/5,2/5,3/5,4/5; 1/2,3/4,5/4; 3125/256 * s^4), summed by
 mpmath's fixed-point hypergeometric kernel.  Outside it the same function
-element is continued analytically from s = 0.  Every chart of the
-continuation follows a root of one equation along a straight step t in
-[0, 1], by high-order Taylor series of the implicit flow:
+element is continued analytically, from the series' value where the path
+from 0 leaves the disk.  Every chart follows a root of one equation along a
+straight step t in [0, 1], by high-order Taylor series of the implicit flow:
 
     z^5 - a(t) z - b(t) = 0,    (5 z^4 - a) z' = a' z + b'.
 
-- sigma chart, a = 1 and b = sigma0 + h t: the march from 0 towards s, with
-  detours around the branch points 3125 s^4 = 256 (|s| ~ 0.535);
+- sigma chart, a = 1 and b = sigma0 + h t: the march from the disk's edge
+  (from 0 on a path that stays inside) towards s, with detours around the
+  branch points 3125 s^4 = 256 (|s| ~ 0.535);
 - far-field chart, a = eps0 + h t and b = 1: v = z * s^(-1/5) solves
   v^5 - eps v - 1 = 0 in eps = s^(-4/5), where the other four roots stay
   uniformly separated; for |s| > 1.6 it carries on from |s| = 1.3;
@@ -39,6 +40,8 @@ STRATEGIES = ("auto", "series", "ode")  # what solve_bring and solve_quintic acc
 # |s| of the four branch points: 3125 s^4 = 256.
 _BP_RADIUS = float((256.0 / 3125.0) ** 0.25)
 _BP_ANGLES = (1.0, 1j, -1.0, -1j)
+_SERIES_X = "0.8"  # |3125 s^4 / 256| up to which auto sums the 4F3
+_SERIES_RADIUS = float(_SERIES_X) ** 0.25 * _BP_RADIUS  # where the march leaves the series
 
 _DETOUR_TRIGGER = 0.045  # path-to-branch-point distance that forces a detour
 _DETOUR_RADIUS = 0.1
@@ -92,6 +95,13 @@ def _seg_closest(a: complex, b: complex, p: complex):
     t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom
     t = min(1.0, max(0.0, t))
     return t, abs(a + t * ab - p)
+
+
+def _disk_exit(a: complex, b: complex) -> complex:
+    """Where segment ab, from inside the series disk to outside it, crosses its edge."""
+    d = b - a
+    half_b, dd = (a * d.conjugate()).real, abs(d) ** 2
+    return a + d * ((half_b**2 + dd * (_SERIES_RADIUS**2 - abs(a) ** 2)) ** 0.5 - half_b) / dd
 
 
 def _plan_waypoints(start: complex, end: complex):
@@ -241,8 +251,9 @@ def _march(z, start, end, octx, budget, far=False):
 def bring_root_continuation(s, ctx: PrecisionCtx):
     """Analytic continuation of the z(0) = 0 branch from 0 to s.
 
-    Returns (z, steps).  Raises NearBranchPoint when s is within
-    10^(-digits/4) of a parameter where the Bring form has a double root.
+    Returns (z, Taylor steps), starting from the 4F3 where the path leaves its
+    disk.  Raises NearBranchPoint when s is within 10^(-digits/4) of a
+    parameter where the Bring form has a double root.
     """
     mp = ctx.mp
     s = ctx.convert(s)
@@ -273,6 +284,12 @@ def bring_root_continuation(s, ctx: PrecisionCtx):
     left = budget
     z = octx.mpc(0)
     waypoints = _plan_waypoints(0.0, main_target)
+    out = next((i for i, w in enumerate(waypoints) if abs(w) > _SERIES_RADIUS), None)
+    if out is not None:  # start from the series where the path leaves its disk
+        edge = _disk_exit(waypoints[out - 1], waypoints[out])
+        pe = octx.mpc(edge.real, edge.imag)
+        z = _polish(-pe * hyper4f3(3125 * pe**4 / 256, octx), pe, octx, octx.digits)
+        waypoints = [edge] + waypoints[out:]
     for a, b in zip(waypoints, waypoints[1:]):
         z, left = _march(z, octx.mpc(a.real, a.imag), octx.mpc(b.real, b.imag), octx, left)
 
@@ -311,16 +328,16 @@ def bring_root_continuation(s, ctx: PrecisionCtx):
 def solve_bring(s, ctx: PrecisionCtx, strategy: str = "auto") -> BringSolution:
     """Principal Bring root with automatic series/continuation selection.
 
-    strategy "auto" uses the series for |3125/256 s^4| <= 0.8 and analytic
-    continuation otherwise; "series"/"ode" force one path.  The result is
-    always Newton-polished and carries its measured residual.
+    strategy "auto" uses the series for |3125/256 s^4| <= 0.8, else the
+    continuation, which starts from it on that circle; "series"/"ode" force
+    one path.  The result is always Newton-polished and carries its residual.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     mp = ctx.mp
     s = ctx.convert(s)
     x = mp.mpf(3125) / 256 * s**4
-    use_series = strategy == "series" or (strategy == "auto" and abs(x) <= mp.mpf("0.8"))
+    use_series = strategy == "series" or (strategy == "auto" and abs(x) <= mp.mpf(_SERIES_X))
     if use_series:
         total = hyper4f3(x, ctx)
         z = _polish(-s * total, s, ctx, ctx.working_dps)

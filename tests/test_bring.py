@@ -110,7 +110,7 @@ def test_golden_s_continuation(ctx200):
     sol = solve_bring(s, ctx200)
     assert sol.strategy == ODE_CONTINUATION
     assert sol.residual <= ctx200.pow10(-190)
-    assert sol.terms_or_steps == 17
+    assert sol.terms_or_steps == 8
 
 
 def test_series_ode_agreement(ctx100, rng):
@@ -130,6 +130,52 @@ def test_series_ode_agreement(ctx100, rng):
         assert abs(z_series - z_ode) <= ctx100.pow10(-90)
 
 
+def test_ode_inside_disk_never_sums_the_series(ctx100, rng, monkeypatch):
+    # the continuation inside the disk is C7's independent check of the
+    # series, so it must march from 0 without calling hyper4f3; so must a
+    # ring endpoint whose ring entry lies inside the disk
+    def refuse(x, ctx):
+        raise AssertionError("hyper4f3 called inside the disk")
+
+    monkeypatch.setattr(bring, "hyper4f3", refuse)
+    mp = ctx100.mp
+    bp = mp.root(mp.mpf(256) / 3125, 4)
+    points = [bp + ctx100.pow10(-5) * mp.expj(mp.pi + mp.mpf("0.6"))]
+    for _ in range(10):
+        radius = rng.uniform(0.05, 0.999 * bring._SERIES_RADIUS)
+        points.append(ctx100.mpc(radius, 0) * mp.expj(rng.uniform(0, 2 * math.pi)))
+    for s in points:
+        sol = solve_bring(s, ctx100, strategy="ode")
+        assert sol.strategy == ODE_CONTINUATION
+        assert sol.residual <= ctx100.pow10(-90)
+
+
+def test_series_handover_stays_on_branch(ctx200):
+    # outside the disk the march starts from the series on its edge; 24 s
+    # from all four sectors, half of them within 0.15 rad of a branch
+    # point's angle, must land on the root tracked in floats from 0
+    rng = random.Random(20261020)
+    detoured = 0
+    for i in range(24):
+        bp = BRING_BRANCH_POINTS[i % 4]
+        if i % 2:
+            offset = rng.choice((-1, 1)) * rng.uniform(0.01, 0.15)
+            radius = rng.uniform(0.62, 1.5)
+        else:
+            offset = rng.uniform(-math.pi / 4, math.pi / 4)
+            radius = 10.0 ** rng.uniform(math.log10(0.52), 4.0)
+        s = cmath.rect(radius, cmath.phase(bp) + offset)
+        waypoints = bring._plan_waypoints(0j, s)
+        if len(waypoints) > 2:
+            # the first waypoint outside the disk is the detour's bulge
+            assert abs(waypoints[1]) < bring._SERIES_RADIUS < abs(waypoints[2])
+            detoured += 1
+        sol = solve_bring(ctx200.mpc(s.real, s.imag), ctx200)
+        assert sol.strategy == ODE_CONTINUATION
+        assert abs(complex(sol.z) - track_bring_root(s)) <= 1e-9, s
+    assert detoured >= 4
+
+
 def test_conjugation_symmetry(ctx50, rng):
     mp = ctx50.mp
     for _ in range(8):
@@ -147,8 +193,9 @@ def test_defining_identity_random(ctx50, rng):
 
 
 def test_far_field_targets(ctx50):
-    # Taylor steps pinned: the sigma march to |s| = 1.3, then the eps chart
-    for s_txt, steps in (("1e6+2e5i", 40), ("-3e4", 56), ("1e12i", 56), ("5e3-5e3i", 23)):
+    # Taylor steps pinned: the sigma march from the series disk's edge to
+    # |s| = 1.3, then the eps chart
+    for s_txt, steps in (("1e6+2e5i", 27), ("-3e4", 37), ("1e12i", 37), ("5e3-5e3i", 16)):
         s = parse_complex(s_txt, ctx50)
         sol = solve_bring(s, ctx50)
         assert sol.strategy == ODE_CONTINUATION
@@ -157,9 +204,10 @@ def test_far_field_targets(ctx50):
 
 
 # s - s* per precision, with the Taylor steps pinned and, beyond 50 digits,
-# the root of a 50-digit solve whose tau hop ran to the full series tolerance
+# the root of a 50-digit solve whose tau hop ran to the full series tolerance;
+# "ring" enters its ring inside the series disk, so its march starts at 0
 NEAR_BRANCH = {
-    50: (("1e-8", 41, None), ("1e-10+1e-10i", 43, None), ("-2e-7i", 21, None)),
+    50: (("1e-8", 22, None), ("1e-10+1e-10i", 24, None), ("-2e-7i", 5, None)),
     200: (
         (
             "ring",
@@ -169,7 +217,7 @@ NEAR_BRANCH = {
         ),
         (
             "1e-10+1e-10i",
-            43,
+            24,
             "-0.66873767345575467505534062455053015235321846517663"
             "-0.0000063531382406218049575546689734315808496438684190277i",
         ),
@@ -177,7 +225,7 @@ NEAR_BRANCH = {
     1000: (
         (
             "1e-8",
-            41,
+            22,
             "-0.66874030747642201278811725602576855466051799270862"
             "-0.000057824748215034280702162175289452997907252426703144i",
         ),
