@@ -1,4 +1,4 @@
-"""Command-line front end: solve quintics, verify reports, benchmark.
+"""Command-line front end: solve quintics and verify the reports.
 
 All numbers cross the process boundary as decimal strings in the complex
 literal grammar; binary floats never appear in reports.  Exit codes: 0
@@ -9,31 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
-import time
 
 from .errors import ParseError, QuinticError
 from .mpfield import PrecisionCtx, format_complex, parse_complex
-from .oracle import aberth_solve, match_rootsets
+from .oracle import aberth_solve
 from .bring import STRATEGIES
 from .tschirnhaus import MonicQuintic
 from .closedform import RootReport, inclusion_radii, solve_quintic
 
-__all__ = ["main", "cmd_solve", "cmd_verify", "cmd_bench", "report_to_json"]
+__all__ = ["main", "cmd_solve", "cmd_verify", "report_to_json"]
 
 _COEFF_FLAGS = ("--m", "--n", "--p", "--q", "--r")
-
-
-def _default_digits() -> int:
-    env = os.environ.get("QUINTIC_DIGITS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 200
 
 
 def _merge_coefficient_values(argv):
@@ -66,6 +53,12 @@ def _root_entries(roots, residuals, digits: int) -> dict:
     }
 
 
+def _input_entry(quintic: MonicQuintic, digits: int, seed: int) -> dict:
+    """The "input" key of every solve payload, from which ``verify`` rebuilds the quintic."""
+    coeffs = {k: format_complex(v, _out_digits(digits)) for k, v in zip("mnpqr", quintic.coeffs())}
+    return {**coeffs, "digits": digits, "seed": seed}
+
+
 def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int, seed: int) -> dict:
     """JSON-ready dict; every numeric value is a decimal-string literal."""
     ctx = report.reduction.ctx
@@ -85,11 +78,7 @@ def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int, seed:
         **_root_entries(report.roots, report.residuals, digits),
         "radii": [format_complex(v, 10) for v in report.radii],
         "diagnostics": diag,
-        "input": {
-            **{k: format_complex(v, out_digits) for k, v in zip("mnpqr", quintic.coeffs())},
-            "digits": digits,
-            "seed": seed,
-        },
+        "input": _input_entry(quintic, digits, seed),
     }
 
 
@@ -134,7 +123,7 @@ def cmd_solve(args) -> int:
         payload = {
             **_root_entries(roots, [abs(quintic.eval(x, ctx)) for x in roots], digits),
             "diagnostics": {"strategy": "oracle_fallback", "closed_form_error": str(exc)},
-            "input": {"digits": digits, "seed": args.seed},
+            "input": _input_entry(quintic, digits, args.seed),
         }
     else:
         payload = report_to_json(report, quintic, digits, args.seed)
@@ -175,55 +164,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _random_quintic(rng: random.Random, ctx, magnitude=1000.0):
-    def draw():
-        return ctx.mpc(rng.uniform(-magnitude, magnitude), rng.uniform(-magnitude, magnitude))
-
-    return MonicQuintic(draw(), draw(), draw(), draw(), draw())
-
-
-def cmd_bench(args) -> int:
-    try:
-        digit_list = [int(v) for v in args.digits.split(",")]
-        if any(d < 30 for d in digit_list):
-            raise ValueError("digits must be >= 30")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rng = random.Random(args.seed)
-    rows = ["seed,index,digits,strategy,cf_ms,oracle_ms,match_distance,status"]
-    all_ok = True
-    for index in range(args.count):
-        ctx0 = PrecisionCtx(digits=max(30, min(digit_list)), seed=args.seed)
-        quintic = _random_quintic(rng, ctx0)
-        for digits in digit_list:
-            ctx = PrecisionCtx(digits=digits, seed=args.seed)
-            q = quintic.rebind(ctx)
-            t0 = time.perf_counter()
-            try:
-                report = solve_quintic(q, ctx)
-                cf_ms = (time.perf_counter() - t0) * 1000
-                strategy = report.bring.strategy
-            except QuinticError as exc:
-                rows.append(
-                    f"{args.seed},{index},{digits},failed:{type(exc).__name__},,,,FAIL"
-                )
-                all_ok = False
-                continue
-            t1 = time.perf_counter()
-            oracle_roots = aberth_solve(q.as_poly(ctx), ctx)
-            oracle_ms = (time.perf_counter() - t1) * 1000
-            match = match_rootsets(report.roots, oracle_roots)
-            ok = match.max_distance <= ctx.pow10(-(digits // 2))
-            all_ok = all_ok and ok
-            rows.append(
-                f"{args.seed},{index},{digits},{strategy},{cf_ms:.1f},{oracle_ms:.1f},"
-                f"{ctx.mp.nstr(match.max_distance, 3)},{'OK' if ok else 'FAIL'}"
-            )
-    print("\n".join(rows))
-    return 0 if all_ok else 2
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quintic",
@@ -235,7 +175,7 @@ def _build_parser():
     ps = sub.add_parser("solve", help="solve x^5 + m x^4 + n x^3 + p x^2 + q x + r = 0")
     for flag in _COEFF_FLAGS:
         ps.add_argument(flag, required=True, help=f"coefficient {flag[2:]} as a complex literal")
-    ps.add_argument("--digits", type=int, default=_default_digits())
+    ps.add_argument("--digits", type=int, default=200)
     ps.add_argument("--strategy", choices=STRATEGIES, default="auto")
     ps.add_argument("--fallback", choices=["none", "oracle"], default="none")
     ps.add_argument("--seed", type=int, default=0)
@@ -246,11 +186,6 @@ def _build_parser():
     pv.add_argument("report", help="path to the JSON report")
     pv.set_defaults(func=cmd_verify)
 
-    pb = sub.add_parser("bench", help="closed form vs oracle timings on random quintics")
-    pb.add_argument("--count", type=int, default=10)
-    pb.add_argument("--digits", default="50", help="comma-separated digit settings")
-    pb.add_argument("--seed", type=int, default=0)
-    pb.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -1,7 +1,7 @@
 """Arbitrary-precision complex arithmetic with principal-branch elementary functions.
 
 This is the numeric substrate for the whole solver.  Values are mpmath
-``mpc`` instances (``AppComplex``) owned by an explicit :class:`PrecisionCtx`;
+``mpc`` instances owned by an explicit :class:`PrecisionCtx`;
 there is no ambient global precision state, so independent solves at
 different precisions can run concurrently.  All multivalued functions use
 principal branches with the cut on the negative real axis, arg in (-pi, pi].
@@ -23,17 +23,12 @@ from mpmath import libmp
 from .errors import OverflowEscape, ParseError, ZeroToNegativePower
 
 __all__ = [
-    "AppComplex",
     "PrecisionCtx",
     "sqrt_principal",
     "pow_rational",
     "parse_complex",
     "format_complex",
 ]
-
-# AppComplex is mpmath's mpc bound to a PrecisionCtx's private context.
-# Declared as a name so signatures elsewhere read like the domain model.
-AppComplex = object
 
 # Decimal digits every context carries beyond its user-facing count.
 GUARD_DIGITS = 20
@@ -68,7 +63,7 @@ class PrecisionCtx:
         return self.digits + GUARD_DIGITS
 
     def mpc(self, re=0, im=0):
-        """Build an AppComplex from numbers or decimal strings."""
+        """Build an mpc of this context from numbers or decimal strings."""
         mp = self._mp
         if im == 0 and isinstance(re, str):
             return parse_complex(re, self)

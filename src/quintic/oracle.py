@@ -36,7 +36,6 @@ class RootMatch:
 
     pairing: tuple
     max_distance: object
-    relative: bool
 
 
 def _splitmix64(state: int):
@@ -182,4 +181,4 @@ def match_rootsets(xs, ys) -> RootMatch:
         if best is None or worst < best:
             best = worst
             best_perm = perm
-    return RootMatch(pairing=best_perm, max_distance=best / norm, relative=True)
+    return RootMatch(pairing=best_perm, max_distance=best / norm)

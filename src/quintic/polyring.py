@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over AppComplex.
+"""Dense univariate polynomials over a PrecisionCtx's mpc values.
 
 Provides det(y*I + M) of a 5x5 scalar matrix M (the reduction's certificate
 at M = M_T) in the context's own arithmetic, and the solver's one vanishing

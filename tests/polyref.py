@@ -1,5 +1,5 @@
-"""Reference polynomial arithmetic, guarded interpolation, the paper's matrix
-and a floating-point Bring root tracker.
+"""Reference polynomial arithmetic, guarded interpolation, the paper's matrix,
+a floating-point Bring root tracker and seeded random quintics.
 
 The solver itself never adds, multiplies, evaluates, deflates or fits
 polynomials, nor weighs by the coefficient scale max(1, |c|); the tests use
@@ -27,6 +27,15 @@ class DegreeGuardFailure(QuinticError):
     The sampled function is not a polynomial of the claimed degree, or
     cancellation swamped its values.
     """
+
+
+def random_quintic(rng, ctx, magnitude=5.0) -> MonicQuintic:
+    """Coefficients with real and imaginary parts uniform in [-magnitude, magnitude]."""
+
+    def draw():
+        return ctx.mpc(rng.uniform(-magnitude, magnitude), rng.uniform(-magnitude, magnitude))
+
+    return MonicQuintic(draw(), draw(), draw(), draw(), draw())
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:

@@ -12,7 +12,6 @@ import time
 import pytest
 
 from quintic.bring import solve_bring
-from quintic.cli import _random_quintic
 from quintic.closedform import deflate_quintic, solve_quintic
 from quintic.mpfield import PrecisionCtx, parse_complex
 from quintic.oracle import aberth_solve, match_rootsets
@@ -26,7 +25,7 @@ from golden import (
     GOLDEN_ROOTS,
     GOLDEN_S,
 )
-from polyref import conjugate_quintic, deflate as poly_deflate, poly_from_roots, quintic_scale
+from polyref import conjugate_quintic, deflate as poly_deflate, poly_from_roots, quintic_scale, random_quintic
 
 POPULATION_SEED = 20260808
 POPULATION_SIZE = 300
@@ -34,7 +33,7 @@ POPULATION_DIGITS = 100
 
 
 def _population_quintic(rng, ctx, index):
-    q = _random_quintic(rng, ctx)
+    q = random_quintic(rng, ctx, magnitude=1000.0)
     if index == 0:  # forced: vanishing x^4 coefficient
         return MonicQuintic(ctx.mpc(0), q.n, q.p, q.q, q.r)
     if index == 1:  # forced: vanishing x^4 and x^3 coefficients
@@ -206,7 +205,7 @@ def test_c8_degree_guards():
     rng = random.Random(31415)
     worst = ctx.mpf(0)
     for _ in range(200):
-        quintic = _random_quintic(rng, ctx, magnitude=100.0)
+        quintic = random_quintic(rng, ctx, magnitude=100.0)
         red = reduce_to_bring(quintic, ctx)  # raises a QuinticError on any degenerate solve
         if red.params is not None:
             worst = max(worst, max(red.params.vanish_residuals))
@@ -224,7 +223,7 @@ def test_c9_property_suite():
     tol = ctx.pow10(-25)
     checked = 0
     for _ in range(100):
-        quintic = _random_quintic(rng, ctx, magnitude=10.0)
+        quintic = random_quintic(rng, ctx, magnitude=10.0)
         report = solve_quintic(quintic, ctx)
         scale = quintic_scale(quintic, ctx)
 

@@ -83,8 +83,10 @@ _PAIR = [C("-1.1", "0.2"), C("0.4", "-1.3"), C("2.1", "0.9")]
         [C("0.7", "0.3"), C("0.7", "0.3") + CTX.mpf("1e-16"), *_PAIR],
         # an exact triple root
         [C("0.5", "0.25")] * 3 + [C("-1.3", "0.7"), C("2.1", "-0.4")],
+        # roots over 24 decades: no rung of the precision ladder reduces them today
+        [C(CTX.mpf(10) ** k) for k in (-12, -6, 0, 6, 12)],
     ],
-    ids=["pair_1e-20", "cluster_tight", "triple"],
+    ids=["pair_1e-20", "cluster_tight", "triple", "spread"],
 )
 def test_clusters_correct_or_typed(roots):
     assert _correct_or_typed(roots) != "wrong"

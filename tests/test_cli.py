@@ -72,7 +72,7 @@ def test_solve_structured_failure_exit_2(capsys):
     assert "bring" in err
 
 
-def test_solve_oracle_fallback(capsys):
+def test_solve_oracle_fallback(tmp_path, capsys):
     code, out, _ = run(
         capsys,
         GOLDEN_ARGS + ["--digits", "50", "--strategy", "series", "--fallback", "oracle", "--json"],
@@ -81,6 +81,14 @@ def test_solve_oracle_fallback(capsys):
     payload = json.loads(out)
     assert payload["diagnostics"]["strategy"] == "oracle_fallback"
     assert len(payload["roots"]) == 5
+    # the same "input" block as a closed-form report, so verify accepts it
+    _, closed_form, _ = run(capsys, GOLDEN_ARGS + ["--digits", "50", "--json"])
+    assert payload["input"] == json.loads(closed_form)["input"]
+    report = tmp_path / "fallback.json"
+    report.write_text(out)
+    code, out2, _ = run(capsys, ["verify", str(report)])
+    assert code == 0
+    assert "verified" in out2
 
 
 def test_solve_oracle_fallback_text_signs(capsys):
@@ -134,6 +142,7 @@ def test_verify_missing_fields(tmp_path, capsys):
         {"input": {"digits": "abc", **coeffs}, "roots": roots},
         {"input": {"digits": 50, **coeffs}, "roots": [{"re": 1, "im": 0}] * 5},  # not a string
         {"input": {"digits": float("inf"), **coeffs}, "roots": roots},  # written as Infinity
+        {"input": {"digits": 50, **coeffs}, "roots": roots[:4]},
     )
     report = tmp_path / "fields.json"
     for payload in payloads:
@@ -143,60 +152,11 @@ def test_verify_missing_fields(tmp_path, capsys):
         assert "error: malformed report" in err, payload
 
 
-def test_bench_rows_and_tolerance(capsys):
-    code, out, _ = run(capsys, ["bench", "--count", "3", "--digits", "50", "--seed", "7"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "seed,index,digits,strategy,cf_ms,oracle_ms,match_distance,status"
-    assert len(lines) == 4
-    ctx = PrecisionCtx(digits=50)
-    for row in lines[1:]:
-        cells = row.split(",")
-        assert cells[-1] == "OK"
-        assert abs(parse_complex(cells[-2], ctx)) <= ctx.pow10(-25)
-
-
-def test_bench_zero_count(capsys):
-    code, out, _ = run(capsys, ["bench", "--count", "0"])
-    assert code == 0
-    assert out.strip() == "seed,index,digits,strategy,cf_ms,oracle_ms,match_distance,status"
-
-
-def test_bench_deterministic_modulo_timing(capsys):
-    _, out1, _ = run(capsys, ["bench", "--count", "2", "--digits", "50", "--seed", "11"])
-    _, out2, _ = run(capsys, ["bench", "--count", "2", "--digits", "50", "--seed", "11"])
-
-    def strip_timing(text):
-        rows = []
-        for line in text.strip().splitlines():
-            cells = line.split(",")
-            if len(cells) == 8 and cells[4] and cells[4][0].isdigit():
-                cells[4] = cells[5] = "-"
-            rows.append(",".join(cells))
-        return rows
-
-    assert strip_timing(out1) == strip_timing(out2)
-
-
-def test_env_digits_default(monkeypatch, capsys):
-    monkeypatch.setenv("QUINTIC_DIGITS", "60")
-    code, out, _ = run(capsys, ["solve", "--m=0", "--n=0", "--p=0", "--q=0", "--r=-1", "--json"])
-    assert code == 0
-    assert json.loads(out)["input"]["digits"] == 60
-
-
-def test_flag_overrides_env(monkeypatch, capsys):
-    monkeypatch.setenv("QUINTIC_DIGITS", "60")
-    code, out, _ = run(
-        capsys, ["solve", "--m=0", "--n=0", "--p=0", "--q=0", "--r=-1", "--digits", "50", "--json"]
-    )
-    assert code == 0
-    assert json.loads(out)["input"]["digits"] == 50
-
-
 def test_usage_error_exit_1(capsys):
     assert main(["solve", "--m=1"]) == 1
-    assert main(["frobnicate"]) == 1
+    for command in ("frobnicate", "bench"):
+        assert main([command]) == 1
+    assert main(["solve", "--m=0", "--n=0", "--p=0", "--q=0", "--r=-1", "--digits", "10"]) == 1
 
 
 def test_radii_in_json_and_verify(tmp_path, capsys):

@@ -24,14 +24,7 @@ from quintic.polyring import Poly
 from quintic.tschirnhaus import MonicQuintic
 
 from golden import GOLDEN_COEFFS, GOLDEN_ROOTS
-from polyref import conjugate_quintic, deflate as poly_deflate, quintic_scale
-
-
-def random_quintic(rng, ctx, magnitude=5.0):
-    def draw():
-        return ctx.mpc(rng.uniform(-magnitude, magnitude), rng.uniform(-magnitude, magnitude))
-
-    return MonicQuintic(draw(), draw(), draw(), draw(), draw())
+from polyref import conjugate_quintic, deflate as poly_deflate, quintic_scale, random_quintic
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +37,11 @@ def test_cardano_cube_roots_of_unity(ctx50):
     assert abs(roots[0] - 1) < ctx50.pow10(-40)
     mags = sorted(abs(r - 1) for r in roots)
     assert mags[0] < ctx50.pow10(-40) and mags[1] > 1
+    # x^3 + 1: core + wing cancels, so the other square-root sign is taken
+    roots = cardano_roots(1, 0, 0, 1, ctx50)
+    half_sqrt3 = ctx50.mp.sqrt(3) / 2
+    for w in (ctx50.mpc(-1), ctx50.mpc(0.5, half_sqrt3), ctx50.mpc(0.5, -half_sqrt3)):
+        assert min(abs(r - w) for r in roots) < ctx50.pow10(-40)
 
 
 def test_cardano_triple_root(ctx50):

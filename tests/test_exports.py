@@ -29,7 +29,7 @@ MODULES = ["quintic"] + [f"quintic.{info.name}" for info in pkgutil.iter_modules
 IMPORTS = {
     "__init__": set(),
     "bring": {"__future__", "dataclasses"},
-    "cli": {"__future__", "argparse", "json", "os", "random", "sys", "time"},
+    "cli": {"__future__", "argparse", "json", "sys"},
     "closedform": {"__future__", "dataclasses"},
     "errors": set(),
     "mpfield": {"__future__", "dataclasses", "functools", "math", "mpmath", "re"},

@@ -19,14 +19,14 @@ from quintic.tschirnhaus import (
 from quintic.closedform import cardano_roots, solve_quintic
 
 from golden import GOLDEN_COEFFS, GOLDEN_S
-from polyref import fit_coeffs, max_coeff_mag, paper_elimination_matrix, poly_from_roots, poly_sub
-
-
-def random_quintic(rng, ctx, magnitude=5.0):
-    def draw():
-        return ctx.mpc(rng.uniform(-magnitude, magnitude), rng.uniform(-magnitude, magnitude))
-
-    return MonicQuintic(draw(), draw(), draw(), draw(), draw())
+from polyref import (
+    fit_coeffs,
+    max_coeff_mag,
+    paper_elimination_matrix,
+    poly_from_roots,
+    poly_sub,
+    random_quintic,
+)
 
 
 # ---------------------------------------------------------------------------
