@@ -13,7 +13,7 @@ from quintic import MonicQuintic, PrecisionCtx, aberth_solve, match_rootsets, so
 
 DIGITS = 80
 COUNT = 12
-ctx = PrecisionCtx(digits=DIGITS, seed=5)
+ctx = PrecisionCtx(digits=DIGITS)
 mp = ctx.mp
 rng = random.Random(5)
 

@@ -35,7 +35,7 @@ __all__ = ["STRATEGIES", "BringSolution", "hyper4f3", "bring_root_continuation",
 SERIES = "series"
 ODE_CONTINUATION = "ode_continuation"
 PURE_RADICAL = "pure_radical"
-STRATEGIES = ("auto", "series", "ode")  # what solve_bring and solve_quintic accept
+STRATEGIES = ("auto", "series", "ode")  # what solve_bring accepts
 
 # |s| of the four branch points: 3125 s^4 = 256.
 _BP_RADIUS = float((256.0 / 3125.0) ** 0.25)
@@ -262,7 +262,7 @@ def bring_root_continuation(s, ctx: PrecisionCtx):
     if abs(s - bps_full[near]) < ctx.pow10(-(ctx.digits // 4)):
         raise NearBranchPoint(f"s within 10^-{ctx.digits // 4} of a double-root parameter")
 
-    octx = shared_ctx(max(40, ctx.digits // 4 + 20), seed=ctx.seed)
+    octx = shared_ctx(max(40, ctx.digits // 4 + 20))
     so = octx.convert(s)
     abs_s = abs(so)
 

@@ -14,7 +14,6 @@ import sys
 from .errors import ParseError, QuinticError
 from .mpfield import PrecisionCtx, format_complex, parse_complex
 from .oracle import aberth_solve
-from .bring import STRATEGIES
 from .tschirnhaus import MonicQuintic
 from .closedform import RootReport, inclusion_radii, solve_quintic
 
@@ -53,13 +52,13 @@ def _root_entries(roots, residuals, digits: int) -> dict:
     }
 
 
-def _input_entry(quintic: MonicQuintic, digits: int, seed: int) -> dict:
+def _input_entry(quintic: MonicQuintic, digits: int) -> dict:
     """The "input" key of every solve payload, from which ``verify`` rebuilds the quintic."""
     coeffs = {k: format_complex(v, _out_digits(digits)) for k, v in zip("mnpqr", quintic.coeffs())}
-    return {**coeffs, "digits": digits, "seed": seed}
+    return {**coeffs, "digits": digits}
 
 
-def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int, seed: int) -> dict:
+def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int) -> dict:
     """JSON-ready dict; every numeric value is a decimal-string literal."""
     ctx = report.reduction.ctx
     out_digits = _out_digits(digits)
@@ -78,7 +77,7 @@ def report_to_json(report: RootReport, quintic: MonicQuintic, digits: int, seed:
         **_root_entries(report.roots, report.residuals, digits),
         "radii": [format_complex(v, 10) for v in report.radii],
         "diagnostics": diag,
-        "input": _input_entry(quintic, digits, seed),
+        "input": _input_entry(quintic, digits),
     }
 
 
@@ -104,7 +103,7 @@ def _render_text(payload: dict) -> str:
 def cmd_solve(args) -> int:
     digits = args.digits
     try:
-        ctx = PrecisionCtx(digits=digits, seed=args.seed)
+        ctx = PrecisionCtx(digits=digits)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -114,7 +113,7 @@ def cmd_solve(args) -> int:
         print(f"error: bad coefficient literal: {exc}", file=sys.stderr)
         return 1
     try:
-        report = solve_quintic(quintic, ctx, strategy=args.strategy)
+        report = solve_quintic(quintic, ctx)
     except QuinticError as exc:
         if args.fallback != "oracle":
             print(f"error: solver failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -123,10 +122,10 @@ def cmd_solve(args) -> int:
         payload = {
             **_root_entries(roots, [abs(quintic.eval(x, ctx)) for x in roots], digits),
             "diagnostics": {"strategy": "oracle_fallback", "closed_form_error": str(exc)},
-            "input": _input_entry(quintic, digits, args.seed),
+            "input": _input_entry(quintic, digits),
         }
     else:
-        payload = report_to_json(report, quintic, digits, args.seed)
+        payload = report_to_json(report, quintic, digits)
     print(json.dumps(payload, indent=2) if args.json else _render_text(payload))
     return 0
 
@@ -176,9 +175,7 @@ def _build_parser():
     for flag in _COEFF_FLAGS:
         ps.add_argument(flag, required=True, help=f"coefficient {flag[2:]} as a complex literal")
     ps.add_argument("--digits", type=int, default=200)
-    ps.add_argument("--strategy", choices=STRATEGIES, default="auto")
     ps.add_argument("--fallback", choices=["none", "oracle"], default="none")
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--json", action="store_true", help="emit the JSON report")
     ps.set_defaults(func=cmd_solve)
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bring import PURE_RADICAL, STRATEGIES, BringSolution, solve_bring
+from .bring import PURE_RADICAL, BringSolution, solve_bring
 from .errors import (
     AmbiguousSelection,
     QuinticError,
-    CancellationFailure,
     DegenerateCubic,
     NearBranchPoint,
     NotARoot,
@@ -95,9 +94,7 @@ def cardano_roots(c3, c2, c1, c0, ctx: PrecisionCtx):
         return [triple, triple, triple]
     big = core + wing
     if negligible(big, (core, wing), tol):
-        big = core - wing  # the other square-root sign avoids the cancellation
-        if negligible(big, (core, wing), tol):
-            raise CancellationFailure("both cube-root arguments underflowed")
+        big = core - wing  # the other sign; both vanish only at core = wing = 0, the triple root
 
     cr = pow_rational(big, 1, 3, ctx)
     omega = mp.exp(2j * mp.pi / 3)
@@ -233,7 +230,7 @@ def inclusion_radii(quintic: MonicQuintic, roots, ctx: PrecisionCtx, digits: int
     return residuals, tuple(radii)
 
 
-def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int, strategy: str) -> RootReport:
+def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int) -> RootReport:
     """One pass of the pipeline at ``ctx``.
 
     Failures that a higher precision may cure propagate bare; any other
@@ -246,7 +243,7 @@ def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int, strate
         zero = ctx.mpf(0)
         if reduction.pure_radical is None:
             stage = "bring"
-            bring_sol = solve_bring(reduction.s, ctx, strategy)
+            bring_sol = solve_bring(reduction.s, ctx)
         else:
             stage = "radical"
             bring_sol = BringSolution(z=ctx.mpc(0), strategy=PURE_RADICAL, residual=zero, terms_or_steps=0)
@@ -289,7 +286,7 @@ def _solve_at(quintic: MonicQuintic, ctx: PrecisionCtx, base_digits: int, strate
     )
 
 
-def solve_quintic(quintic: MonicQuintic, ctx: PrecisionCtx, strategy: str = "auto") -> RootReport:
+def solve_quintic(quintic: MonicQuintic, ctx: PrecisionCtx) -> RootReport:
     """All five roots of a monic quintic, in closed form, certified.
 
     Orchestrates reduction -> Bring root -> Ferrari -> selection ->
@@ -301,13 +298,11 @@ def solve_quintic(quintic: MonicQuintic, ctx: PrecisionCtx, strategy: str = "aut
     precision; structural failures propagate wrapped with their pipeline
     stage.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     last = None
     for factor in (1, 2, 4):
         wctx = ctx if factor == 1 else ctx.escalated(factor)
         try:
-            return _solve_at(quintic, wctx, ctx.digits, strategy)
+            return _solve_at(quintic, wctx, ctx.digits)
         except (PrecisionExhausted, AmbiguousSelection, NearBranchPoint) as exc:
             last = exc
     if isinstance(last, PrecisionExhausted):

@@ -38,10 +38,6 @@ class DegenerateCubic(QuinticError):
     """Cubic solve requested with a vanishing cubic coefficient."""
 
 
-class CancellationFailure(QuinticError):
-    """Both square-root sign choices underflowed the Cardano cube root."""
-
-
 class ResolventFailure(QuinticError):
     """No resolvent-cubic root yields a residual-passing quartic split."""
 

@@ -40,11 +40,9 @@ class PrecisionCtx:
 
     digits  user-facing precision in decimal digits (>= 30); arithmetic
             runs at working_dps = digits + GUARD_DIGITS
-    seed    64-bit seed recorded for reproducible randomized paths
     """
 
     digits: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.digits < 30:
@@ -86,13 +84,13 @@ class PrecisionCtx:
         return self._mp.mpf(10) ** k
 
     def escalated(self, factor: int) -> "PrecisionCtx":
-        """A context with digits multiplied by ``factor``, same seed (shared)."""
-        return shared_ctx(self.digits * factor, self.seed)
+        """The shared context with digits multiplied by ``factor``."""
+        return shared_ctx(self.digits * factor)
 
 
 @lru_cache(maxsize=32)
-def shared_ctx(digits: int, seed: int = 0) -> PrecisionCtx:
-    """One PrecisionCtx per setting, shared by the solver's internal callers.
+def shared_ctx(digits: int) -> PrecisionCtx:
+    """One PrecisionCtx per digit count, shared by the solver's internal callers.
 
     Every value computed in a context keeps that context's MPContext alive,
     so a fresh context per escalation or per continuation would make held
@@ -100,7 +98,7 @@ def shared_ctx(digits: int, seed: int = 0) -> PrecisionCtx:
     context's precision after construction; contexts that callers build
     with ``PrecisionCtx(...)`` stay their own.
     """
-    return PrecisionCtx(digits=digits, seed=seed)
+    return PrecisionCtx(digits=digits)
 
 
 def require_finite(z, ctx: PrecisionCtx):
@@ -162,7 +160,7 @@ def _scan_number(text: str, pos: int):
     return m.group(0), m.end()
 
 
-def parse_complex(text: str, ctx: PrecisionCtx = None):
+def parse_complex(text: str, ctx: PrecisionCtx):
     """Parse a complex literal like '-200i', '12.34910' or '0.5-0.25e-3i'.
 
     Raises ParseError with the byte offset of the first offending character.
@@ -171,8 +169,6 @@ def parse_complex(text: str, ctx: PrecisionCtx = None):
     text = text.strip().replace("−", "-")
     if not text:
         raise ParseError(f"empty complex literal {raw!r}", 0)
-    if ctx is None:
-        ctx = PrecisionCtx(digits=max(30, len(text) + 10))
     mp = ctx.mp
 
     pos = 0

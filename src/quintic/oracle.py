@@ -4,11 +4,11 @@ Shares nothing with the closed-form pipeline beyond the arithmetic substrate,
 so agreement between the two is real evidence.
 
 The iteration runs twice, as in MPSolve (Bini & Fiorentino, Numer.
-Algorithms 23, 2000): first in hardware floats from points on a circle whose
-angular offset is derived deterministically from the seed, then at full
-precision from the float estimates, with the full-precision stopping rule
-alone deciding when the roots are done.  Inputs that floats cannot carry
-start the full-precision loop from the circle itself.
+Algorithms 23, 2000): first in hardware floats from points on a circle at a
+fixed angular offset, then at full precision from the float estimates, with
+the full-precision stopping rule alone deciding when the roots are done.
+Inputs that floats cannot carry start the full-precision loop from the circle
+itself.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ __all__ = ["RootMatch", "aberth_solve", "match_rootsets"]
 _FLOAT_TOL = 1e-15
 _FLOAT_ROUNDS = 60
 
+# Angular offset of the starting circle past a quarter step, in units of
+# 2**-64 of the step 2*pi/degree between its points.
+_CIRCLE_OFFSET = 0xE220A8397B1DCDAF
+
 
 @dataclass(frozen=True)
 class RootMatch:
@@ -36,14 +40,6 @@ class RootMatch:
 
     pairing: tuple
     max_distance: object
-
-
-def _splitmix64(state: int):
-    state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return state, (z ^ (z >> 31)) & 0xFFFFFFFFFFFFFFFF
 
 
 def _horner(coeffs, x):
@@ -93,9 +89,9 @@ def aberth_solve(poly: Poly, ctx: PrecisionCtx):
 
     Deterministic given (poly, ctx).  The circle of radius
     2 * max_k |c_{n-k} / c_n|^(1/k), Fujiwara's bound on the roots' moduli,
-    with a seed-derived angular offset seeds a float phase of the same
-    iteration, which stops near double precision or after a fixed number of
-    rounds.  The full-precision loop then starts from the float estimates,
+    at a fixed angular offset starts a float phase of the same iteration,
+    which stops near double precision or after a fixed number of rounds.
+    The full-precision loop then starts from the float estimates,
     or from the circle when a coefficient is not a finite float, the float
     phase overflows or divides by zero, or two estimates coincide.  Its
     stopping rule does not depend on where it started: a backward error
@@ -115,8 +111,7 @@ def aberth_solve(poly: Poly, ctx: PrecisionCtx):
     dcoeffs = [k * coeffs[k] for k in range(1, deg + 1)]
 
     radius = 2 * max(mp.root(abs(coeffs[deg - k] / coeffs[deg]), k) for k in range(1, deg + 1))
-    _, word = _splitmix64(ctx.seed & 0xFFFFFFFFFFFFFFFF)
-    offset = mp.mpf(word) / mp.mpf(2**64)
+    offset = mp.mpf(_CIRCLE_OFFSET) / 2**64
     pi2 = 2 * mp.pi
     zs = [radius * mp.exp(1j * pi2 * (k + offset + mp.mpf(1) / 4) / deg) for k in range(deg)]
     estimates = _float_estimates(coeffs, zs)

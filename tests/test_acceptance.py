@@ -55,7 +55,7 @@ def golden_report():
 
 @pytest.fixture(scope="session")
 def population():
-    ctx = PrecisionCtx(digits=POPULATION_DIGITS, seed=POPULATION_SEED)
+    ctx = PrecisionCtx(digits=POPULATION_DIGITS)
     rng = random.Random(POPULATION_SEED)
     solved = []
     for index in range(POPULATION_SIZE):

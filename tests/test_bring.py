@@ -205,7 +205,10 @@ def test_far_field_targets(ctx50):
 
 # s - s* per precision, with the Taylor steps pinned and, beyond 50 digits,
 # the root of a 50-digit solve whose tau hop ran to the full series tolerance;
-# "ring" enters its ring inside the series disk, so its march starts at 0
+# "ring" enters its ring inside the series disk, so its march starts at 0.
+# -1e-3-1e-400i sits just below the cut of tau = sqrt(s - s*), so the hop
+# takes -tau; its frozen root is the real root at s* - 1e-3, 9.4e-400 away,
+# and the partner root that +tau lands on is 0.037 away
 NEAR_BRANCH = {
     50: (("1e-8", 22, None), ("1e-10+1e-10i", 24, None), ("-2e-7i", 5, None)),
     200: (
@@ -221,6 +224,7 @@ NEAR_BRANCH = {
             "-0.66873767345575467505534062455053015235321846517663"
             "-0.0000063531382406218049575546689734315808496438684190277i",
         ),
+        ("-1e-3-1e-400i", 16, "-0.65019927250362483047462799471907033988815952137495"),
     ),
     1000: (
         (

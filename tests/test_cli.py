@@ -3,6 +3,7 @@ import json
 import pytest
 
 from quintic.cli import main
+from quintic.errors import SeriesOutOfRange, StageError
 from quintic.mpfield import PrecisionCtx, parse_complex
 
 from golden import GOLDEN_COEFFS, GOLDEN_ROOTS
@@ -22,6 +23,11 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fail_at_bring(q, ctx):
+    """Stands in for solve_quintic: fails the way a Bring-stage error does."""
+    raise StageError("bring", SeriesOutOfRange("|x| = 5.2 > 0.9"))
 
 
 def test_solve_golden_json(capsys):
@@ -66,23 +72,23 @@ def test_solve_bad_literal_exit_1(capsys):
     assert "m" in err and "bogus" in err
 
 
-def test_solve_structured_failure_exit_2(capsys):
-    code, _, err = run(capsys, GOLDEN_ARGS + ["--digits", "50", "--strategy", "series"])
+def test_solve_structured_failure_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("quintic.cli.solve_quintic", fail_at_bring)
+    code, _, err = run(capsys, GOLDEN_ARGS + ["--digits", "50"])
     assert code == 2
-    assert "bring" in err
+    assert "StageError" in err and "bring" in err
 
 
-def test_solve_oracle_fallback(tmp_path, capsys):
-    code, out, _ = run(
-        capsys,
-        GOLDEN_ARGS + ["--digits", "50", "--strategy", "series", "--fallback", "oracle", "--json"],
-    )
+def test_solve_oracle_fallback(tmp_path, capsys, monkeypatch):
+    # the same "input" block as a closed-form report, so verify accepts it
+    _, closed_form, _ = run(capsys, GOLDEN_ARGS + ["--digits", "50", "--json"])
+    monkeypatch.setattr("quintic.cli.solve_quintic", fail_at_bring)
+    code, out, _ = run(capsys, GOLDEN_ARGS + ["--digits", "50", "--fallback", "oracle", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["diagnostics"]["strategy"] == "oracle_fallback"
+    assert "stage bring" in payload["diagnostics"]["closed_form_error"]
     assert len(payload["roots"]) == 5
-    # the same "input" block as a closed-form report, so verify accepts it
-    _, closed_form, _ = run(capsys, GOLDEN_ARGS + ["--digits", "50", "--json"])
     assert payload["input"] == json.loads(closed_form)["input"]
     report = tmp_path / "fallback.json"
     report.write_text(out)
@@ -91,10 +97,9 @@ def test_solve_oracle_fallback(tmp_path, capsys):
     assert "verified" in out2
 
 
-def test_solve_oracle_fallback_text_signs(capsys):
-    code, out, _ = run(
-        capsys, GOLDEN_ARGS + ["--digits", "50", "--strategy", "series", "--fallback", "oracle"]
-    )
+def test_solve_oracle_fallback_text_signs(capsys, monkeypatch):
+    monkeypatch.setattr("quintic.cli.solve_quintic", fail_at_bring)
+    code, out, _ = run(capsys, GOLDEN_ARGS + ["--digits", "50", "--fallback", "oracle"])
     assert code == 0
     assert "oracle fallback" in out
     assert sum(line.startswith("  r") for line in out.splitlines()) == 5
@@ -104,18 +109,23 @@ def test_solve_oracle_fallback_text_signs(capsys):
 def test_verify_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, GOLDEN_ARGS + ["--digits", "60", "--json"])
     assert code == 0
+    payload = json.loads(out)
+    assert set(payload["input"]) == {*"mnpqr", "digits"}
     report = tmp_path / "report.json"
-    report.write_text(out)
-    code, out2, _ = run(capsys, ["verify", str(report)])
-    assert code == 0
-    assert "verified" in out2
+    # reports that still carry the oracle seed the input block once had verify too
+    for text in (out, json.dumps({**payload, "input": {**payload["input"], "seed": 7}})):
+        report.write_text(text)
+        code, out2, _ = run(capsys, ["verify", str(report)])
+        assert code == 0
+        assert "verified" in out2
 
 
 def test_verify_detects_perturbation(tmp_path, capsys):
     code, out, _ = run(capsys, GOLDEN_ARGS + ["--digits", "60", "--json"])
     payload = json.loads(out)
     root = payload["roots"][2]
-    bumped = parse_complex(root["re"]) + PrecisionCtx(digits=60).mpf("1e-10")
+    ctx = PrecisionCtx(digits=60)
+    bumped = parse_complex(root["re"], ctx) + ctx.mpf("1e-10")
     from quintic.mpfield import format_complex
 
     root["re"] = format_complex(bumped, 45)
@@ -156,7 +166,11 @@ def test_usage_error_exit_1(capsys):
     assert main(["solve", "--m=1"]) == 1
     for command in ("frobnicate", "bench"):
         assert main([command]) == 1
-    assert main(["solve", "--m=0", "--n=0", "--p=0", "--q=0", "--r=-1", "--digits", "10"]) == 1
+    fifth_roots = ["solve", "--m=0", "--n=0", "--p=0", "--q=0", "--r=-1"]
+    assert main(fifth_roots + ["--digits", "10"]) == 1
+    # a solve has one path and one oracle circle: neither is an option
+    assert main(fifth_roots + ["--digits", "50", "--seed", "1"]) == 1
+    assert main(fifth_roots + ["--digits", "50", "--strategy", "ode"]) == 1
 
 
 def test_radii_in_json_and_verify(tmp_path, capsys):

@@ -16,6 +16,7 @@ from quintic.errors import (
     DegenerateCubic,
     NotARoot,
     QuinticError,
+    SeriesOutOfRange,
     StageError,
 )
 from quintic.mpfield import PrecisionCtx, parse_complex, sqrt_principal
@@ -281,20 +282,25 @@ def test_repeated_root_quintic_collapses_or_reports(ctx50):
     assert max(report.residuals) <= ctx50.pow10(-25) * quintic_scale(q, ctx50)
 
 
-def test_solver_wraps_stage_errors(ctx50):
-    # forcing the series outside its disk is a structural failure with stage
-    # provenance, not a silent fallback
+def test_solver_wraps_stage_errors(ctx50, monkeypatch):
+    # a structural Bring failure is raised with its stage, not retried at
+    # higher precision and not silently replaced by another path
+    calls = []
+
+    def out_of_range(s, ctx):
+        calls.append(ctx.digits)
+        raise SeriesOutOfRange("|x| = 5.2 > 0.9")
+
+    monkeypatch.setattr("quintic.closedform.solve_bring", out_of_range)
     q = MonicQuintic.make(ctx50, *GOLDEN_COEFFS)
     with pytest.raises(StageError) as exc:
-        solve_quintic(q, ctx50, strategy="series")
+        solve_quintic(q, ctx50)
     assert exc.value.stage == "bring"
+    assert isinstance(exc.value.cause, SeriesOutOfRange)
+    assert calls == [50]
 
 
 def test_unknown_strategy_rejected(ctx50):
-    # a misspelt strategy is refused before any work, also where the solve
-    # never reaches the Bring step (x^5 - 2 is a pure fifth power)
-    for coeffs in (GOLDEN_COEFFS, (0, 0, 0, 0, -2)):
-        with pytest.raises(ValueError):
-            solve_quintic(MonicQuintic.make(ctx50, *coeffs), ctx50, strategy="bogus")
+    # a misspelt strategy is refused before any work
     with pytest.raises(ValueError):
         solve_bring(ctx50.mpc("0.1"), ctx50, strategy="bogus")

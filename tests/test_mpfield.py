@@ -25,12 +25,12 @@ def test_ctx_invariants():
 def test_escalated_contexts_are_shared():
     # a returned value pins the context it was computed in, so escalation
     # must not build a fresh context per call
-    ctx = PrecisionCtx(digits=50, seed=7)
+    ctx = PrecisionCtx(digits=50)
     up = ctx.escalated(2)
-    assert up is PrecisionCtx(digits=50, seed=7).escalated(2)
-    assert (up.digits, up.seed) == (100, 7)
+    assert up is PrecisionCtx(digits=50).escalated(2)
+    assert up.digits == 100
     assert up.mp.dps == 120
-    assert up is not PrecisionCtx(digits=50, seed=8).escalated(2)
+    assert up is not ctx.escalated(4)
     assert PrecisionCtx(digits=100) is not PrecisionCtx(digits=100)
 
 def test_sqrt_trivial_examples(ctx50):
